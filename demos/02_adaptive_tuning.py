@@ -44,7 +44,7 @@ from ghmctune.samplers import chain_rng
 
 theta0 = sample_gaussian(spec, 1, chain_rng(SEED, 999))[0]
 samples, records = run_chain(model, config, 12_000, initial_theta=theta0,
-                             chain_index=0, warm_start=True)
+                             chain_index=0)
 print(f"production acceptance rate:  {records.acceptance_rate:.3f}")
 print(f"gradient evaluations:        {records.total_grads()} "
       f"(= iterations x L x 3 stages)")

@@ -33,7 +33,7 @@ def run_set(config):
         s, r = run_chain(model, config, N_PROD, chain_index=c)
         chains.append(s)
         recs.append(r)
-    return ChainSet(np.stack(chains), recs, stages=config.scheme.at(0.1).stages)
+    return ChainSet(np.stack(chains), recs, stages=config.scheme.stages)
 
 
 print(f"\nrunning {N_CHAINS} chains x {N_PROD} iterations per sampler...")

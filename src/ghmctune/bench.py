@@ -232,7 +232,7 @@ def _write_chain(path: Path, samples: np.ndarray, binary: bool) -> Path:
     with open(path, "w") as fh:
         fh.write(f"{_CHAIN_HEADER}\n")
         for row in samples:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
     return path
 
 
@@ -240,13 +240,7 @@ def _read_chain(path: Path) -> np.ndarray:
     if path.suffix == ".npz":
         with np.load(path) as data:
             return data["samples"]
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.strip().split(",")])
-    return np.asarray(rows)
+    return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
 
 
 def _write_records(path: Path, rec: ChainRecords) -> Path:
@@ -362,8 +356,7 @@ def _chain_worker(args):
     initial = _warm_init(config, chain_index) if config.warm_start else None
     samples, records = run_chain(model, sampler_config, config.n_prod,
                                  initial_theta=initial,
-                                 chain_index=chain_index,
-                                 warm_start=config.warm_start)
+                                 chain_index=chain_index)
     return chain_index, samples, records
 
 
@@ -434,15 +427,12 @@ def cmd_sample(config: RunConfig, report: Optional[TuningReport] = None,
         chain_files.append(str(cpath.relative_to(out)))
         record_files.append(str(rpath.relative_to(out)))
 
-    stages = sampler_config.scheme.at(
-        sampler_config.dt_rule.mean if hasattr(sampler_config.dt_rule, "mean")
-        else sampler_config.dt_rule.draw(np.random.default_rng(0))).stages
     manifest = {
         "config": config.to_dict(),
         "config_hash": config.hash(),
         "package": "ghmctune 0.1.0",
         "chain_seeds": [[config.seed, i] for i in range(config.n_chains)],
-        "stages": stages,
+        "stages": sampler_config.scheme.stages,
         "chain_files": chain_files,
         "record_files": record_files,
         "tuning_report": "tuning_report.json" if report_path else None,

@@ -516,32 +516,45 @@ def apply_step(scheme: SplittingScheme, model, theta: np.ndarray, p: np.ndarray,
         (theta, p, grad, n_evals) with ``grad`` the gradient at the new theta
         (reusable by the next step) and ``n_evals`` the fresh evaluations.
     """
-    inv_mass = 1.0 if mass_diag is None else 1.0 / mass_diag
-    n_evals = 0
-    if grad is None:
-        grad = model.gradient(theta)
-        n_evals += 1
-    theta = np.array(theta, dtype=float)
-    p = np.array(p, dtype=float)
-    p -= scheme.kicks[0] * dt * grad
-    for i, a in enumerate(scheme.drifts):
-        theta += a * dt * (inv_mass * p)
-        grad = model.gradient(theta)
-        n_evals += 1
-        p -= scheme.kicks[i + 1] * dt * grad
-    return theta, p, grad, n_evals
+    return apply_leg(scheme.kicks, scheme.drifts, model, theta, p, dt, 1,
+                     mass_diag, grad)
 
 
-def apply_leg(scheme: SplittingScheme, model, theta: np.ndarray, p: np.ndarray,
-              dt: float, n_steps: int, mass_diag: np.ndarray | None = None,
+def apply_leg(kicks: tuple, drifts: tuple, model, theta: np.ndarray,
+              p: np.ndarray, dt: float, n_steps: int,
+              mass_diag: np.ndarray | None = None,
               grad: np.ndarray | None = None):
     """Integrate n_steps steps, merging end-kicks between consecutive steps.
 
-    With a cached starting gradient the whole leg charges exactly
-    ``n_steps * scheme.stages`` fresh gradient evaluations.
+    Args:
+        kicks, drifts: Coefficients of one step, as in ``SplittingScheme``
+            (k + 1 kicks, k drifts, palindromic, positive, each summing to
+            1); the caller guarantees these properties.
+        model: Target model providing ``gradient``.
+        theta, p: Current state (not modified; copied once for the leg).
+        dt: Dimensional step size.
+        n_steps: Number of steps.
+        mass_diag: Diagonal of the mass matrix; identity when ``None``.
+        grad: Cached gradient at ``theta``; with it the leg charges exactly
+            ``n_steps * len(drifts)`` fresh gradient evaluations.
+
+    Returns:
+        (theta, p, grad, n_evals) as for ``apply_step``.
     """
-    total = 0
+    gradient = model.gradient
+    n_evals = 0
+    if grad is None:
+        grad = gradient(theta)
+        n_evals += 1
+    theta = np.array(theta, dtype=float)
+    p = np.array(p, dtype=float)
+    inv_mass = None if mass_diag is None else 1.0 / mass_diag
+    first_kick = kicks[0] * dt
+    stages = [(a * dt, b * dt) for a, b in zip(drifts, kicks[1:])]
     for _ in range(n_steps):
-        theta, p, grad, n = apply_step(scheme, model, theta, p, dt, mass_diag, grad)
-        total += n
-    return theta, p, grad, total
+        p -= first_kick * grad
+        for drift, kick in stages:
+            theta += drift * (p if inv_mass is None else inv_mass * p)
+            grad = gradient(theta)
+            p -= kick * grad
+    return theta, p, grad, n_evals + n_steps * len(drifts)

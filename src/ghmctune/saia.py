@@ -78,6 +78,27 @@ class SAIA3Map:
     a_opt: np.ndarray
     n_flagged: int = 0
 
+    def __post_init__(self):
+        """Validate every node once, so per-draw lookups need no checks.
+
+        Each node must satisfy 0 < b < 1/2 and 0 < a < 1/2 with a on the
+        three-stage family.  The admissible b form one interval, so every
+        interpolated b keeps all kicks (b, 1/2 - b) and drifts (a, 1 - 2a)
+        of the step positive; the tuples are palindromic and sum to 1 by
+        construction.
+        """
+        h, b, a = (np.asarray(v, dtype=float)
+                   for v in (self.h_grid, self.b_opt, self.a_opt))
+        if h.ndim != 1 or h.size < 2 or not h.shape == b.shape == a.shape:
+            raise ValueError("map columns must be 1-D, of equal length, with "
+                             "at least two nodes")
+        if not (h[0] > 0.0 and np.all(np.diff(h) > 0.0)):
+            raise ValueError("map step sizes must be positive and increasing")
+        if not (np.all((b > 0.0) & (b < 0.5)) and np.all((a > 0.0) & (a < 0.5))):
+            raise ValueError("every map node needs 0 < b < 1/2 and 0 < a < 1/2")
+        if not np.allclose(a, three_stage_a(b), rtol=0.0, atol=1e-12):
+            raise ValueError("map drift coefficients are off the three-stage family")
+
     def coefficients(self, h: float) -> tuple[float, float]:
         """Linearly interpolated (b, a) at step size h inside the grid span."""
         if not self.h_grid[0] <= h <= self.h_grid[-1]:

@@ -16,6 +16,12 @@ regardless of scheduling:
 
 Within an iteration the stream is consumed in a fixed order: dt draw, L draw,
 phi draw (when randomized), refresh noise, acceptance uniform.
+
+An iteration does only these draws, numpy arithmetic and model calls.  The
+scheme selectors hand the kernel plain (kicks, drifts) coefficient tuples,
+looked up from the tabulated s-AIA3 map for the adaptive integrator; the
+iteration updates one ``ChainState`` per chain in place and writes its record
+straight into row i of the chain's ``ChainRecords``.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ __all__ = [
     "AdaptiveScheme",
     "SamplerConfig",
     "ChainState",
-    "IterationRecord",
     "ChainRecords",
     "chain_rng",
     "partial_momentum_update",
@@ -148,23 +153,40 @@ class PhiFromStep:
 # Scheme selectors
 
 
+# A selector maps the drawn step size to the (kicks, drifts) coefficient
+# tuples of one integration step and reports the gradient evaluations per
+# step as ``stages``.
+
+
 @dataclass(frozen=True)
 class FixedScheme:
     scheme: SplittingScheme
 
-    def at(self, dt: float) -> SplittingScheme:
-        return self.scheme
+    @property
+    def stages(self) -> int:
+        return self.scheme.stages
+
+    def step_coefficients(self, dt: float) -> tuple[tuple, tuple]:
+        return self.scheme.kicks, self.scheme.drifts
 
 
 @dataclass(frozen=True)
 class AdaptiveScheme:
-    """Per-draw coefficients looked up at the dimensionless step h = cf * dt."""
+    """Per-draw coefficients looked up at the dimensionless step h = cf * dt.
+
+    The tuples are those of ``SplittingScheme.three_stage(b, a)`` with
+    (b, a) interpolated from the map, which validated every node when it was
+    built or loaded; the map raises ``OutOfStabilityError`` for an h outside
+    its grid.
+    """
 
     cf: float
     saia_map: SAIA3Map
+    stages = 3  # not a field: every s-AIA3 step has three stages
 
-    def at(self, dt: float) -> SplittingScheme:
-        return self.saia_map.scheme_at(self.cf * dt)
+    def step_coefficients(self, dt: float) -> tuple[tuple, tuple]:
+        b, a = self.saia_map.coefficients(self.cf * dt)
+        return (b, 0.5 - b, 0.5 - b, b), (a, 1.0 - 2.0 * a, a)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +204,8 @@ class SamplerConfig:
         l_rule: Draw rule for the number of integration steps per iteration.
         phi_rule: Draw rule for the refresh noise in (0, 1]; forced to
             Fixed(1.0) in HMC mode.
-        scheme: A ``SplittingScheme`` or a selector with an ``at(dt)`` method.
+        scheme: A ``SplittingScheme`` (wrapped in ``FixedScheme``) or a
+            selector with a ``step_coefficients(dt)`` method and ``stages``.
         mass_diag: Diagonal of the mass matrix (identity when None).
         seed: Root seed; chains split private streams off it.
     """
@@ -200,7 +223,7 @@ class SamplerConfig:
             raise ValueError("mode must be 'hmc' or 'ghmc'")
         if isinstance(self.scheme, SplittingScheme):
             object.__setattr__(self, "scheme", FixedScheme(self.scheme))
-        if self.scheme is None or not hasattr(self.scheme, "at"):
+        if self.scheme is None or not hasattr(self.scheme, "step_coefficients"):
             raise ValueError("scheme must be a SplittingScheme or a selector")
         if self.mode == "hmc":
             if self.phi_rule is None:
@@ -229,31 +252,15 @@ def _validate_phi_rule(rule):
 
 @dataclass
 class ChainState:
-    """Current position, momentum, and cached potential/gradient."""
+    """Current position, momentum, and cached potential/gradient of one chain.
+
+    ``ghmc_iteration`` updates it in place.
+    """
 
     theta: np.ndarray
     p: np.ndarray
     potential: float
     grad: np.ndarray
-
-    def kinetic(self, mass_diag=None) -> float:
-        if mass_diag is None:
-            return 0.5 * float(self.p @ self.p)
-        return 0.5 * float(np.sum(self.p * self.p / mass_diag))
-
-    def energy(self, mass_diag=None) -> float:
-        return self.potential + self.kinetic(mass_diag)
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    accepted: bool
-    delta_h: float
-    n_steps: int
-    dt: float
-    phi: float
-    grad_evals: int
-    divergent: bool = False
 
 
 @dataclass
@@ -279,15 +286,6 @@ class ChainRecords:
             grad_evals=np.zeros(n, dtype=np.int64),
             divergent=np.zeros(n, dtype=bool),
         )
-
-    def set(self, i: int, rec: IterationRecord) -> None:
-        self.accepted[i] = rec.accepted
-        self.delta_h[i] = rec.delta_h
-        self.n_steps[i] = rec.n_steps
-        self.dt[i] = rec.dt
-        self.phi[i] = rec.phi
-        self.grad_evals[i] = rec.grad_evals
-        self.divergent[i] = rec.divergent
 
     def __len__(self) -> int:
         return len(self.accepted)
@@ -341,61 +339,72 @@ def metropolis_accept(delta_h: float, rng: np.random.Generator) -> bool:
     return rng.random() < math.exp(-delta_h)
 
 
-def ghmc_iteration(state: ChainState, config: SamplerConfig, model,
-                   rng: np.random.Generator) -> tuple[ChainState, IterationRecord]:
-    """One momentum-refresh / integrate / Metropolis-test cycle.
+def _kinetic(p: np.ndarray, mass_diag: Optional[np.ndarray]) -> float:
+    if mass_diag is None:
+        return 0.5 * float(p @ p)
+    return 0.5 * float(np.sum(p * p / mass_diag))
 
-    On acceptance the integrated state is adopted as-is; on rejection the
-    position is kept and the momentum negated.  The proposal charges
-    L * k fresh gradient evaluations (end-kicks merged within the leg; the
-    leading kick reuses the gradient cached in the state).
+
+def ghmc_iteration(state: ChainState, dt: float, config: SamplerConfig, model,
+                   rng: np.random.Generator, records: ChainRecords,
+                   i: int) -> None:
+    """One momentum-refresh / integrate / Metropolis-test cycle at step dt.
+
+    The caller draws ``dt`` (the first draw of the iteration) or, during the
+    burn-in, passes its adapted step.  On acceptance the integrated state is
+    adopted as-is; on rejection the position is kept and the momentum
+    negated.  ``state`` is updated in place and the iteration's record is
+    written to row ``i`` of ``records``.  The proposal charges L * k fresh
+    gradient evaluations (end-kicks merged within the leg; the leading kick
+    reuses the gradient cached in the state).
     """
-    dt = float(config.dt_rule.draw(rng))
     n_steps = int(config.l_rule.draw(rng))
     if isinstance(config.phi_rule, PhiFromStep):
         phi = config.phi_rule.phi_at(dt)
     else:
         phi = float(config.phi_rule.draw(rng))
 
-    p = partial_momentum_update(state.p, phi, config.mass_diag, rng)
-    state = ChainState(state.theta, p, state.potential, state.grad)
-    h0 = state.energy(config.mass_diag)
+    mass_diag = config.mass_diag
+    p = partial_momentum_update(state.p, phi, mass_diag, rng)
+    h0 = state.potential + _kinetic(p, mass_diag)
 
-    scheme = config.scheme.at(dt)
+    kicks, drifts = config.scheme.step_coefficients(dt)
     # divergent trajectories overflow by design and are rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         theta, p_new, grad, n_evals = apply_leg(
-            scheme, model, state.theta, p, dt, n_steps, config.mass_diag,
+            kicks, drifts, model, state.theta, p, dt, n_steps, mass_diag,
             state.grad
         )
-
-        divergent = False
         delta_h = math.inf
         u_new = math.nan
-        if np.all(np.isfinite(theta)) and np.all(np.isfinite(p_new)):
+        if np.isfinite(theta).all() and np.isfinite(p_new).all():
             u_new = float(model.potential(theta))
             if math.isfinite(u_new):
-                kin = (0.5 * float(p_new @ p_new) if config.mass_diag is None
-                       else 0.5 * float(np.sum(p_new * p_new / config.mass_diag)))
-                delta_h = u_new + kin - h0
-    if not math.isfinite(delta_h) or abs(delta_h) > DIVERGENCE_THRESHOLD:
-        divergent = True
-        delta_h = math.inf if not math.isfinite(delta_h) else delta_h
+                delta_h = u_new + _kinetic(p_new, mass_diag) - h0
+    divergent = not math.isfinite(delta_h) or abs(delta_h) > DIVERGENCE_THRESHOLD
+    if not math.isfinite(delta_h):
+        delta_h = math.inf
 
     accepted = (not divergent) and metropolis_accept(delta_h, rng)
     if accepted:
-        new_state = ChainState(theta, p_new, u_new, grad)
+        state.theta = theta
+        state.p = p_new
+        state.potential = u_new
+        state.grad = grad
     else:
-        new_state = ChainState(state.theta, -state.p, state.potential, state.grad)
-    rec = IterationRecord(accepted, delta_h, n_steps, dt, phi,
-                          n_evals, divergent)
-    return new_state, rec
+        state.p = np.negative(p, out=p)  # p is the refresh's own new array
+    records.accepted[i] = accepted
+    records.delta_h[i] = delta_h
+    records.n_steps[i] = n_steps
+    records.dt[i] = dt
+    records.phi[i] = phi
+    records.grad_evals[i] = n_evals
+    records.divergent[i] = divergent
 
 
 def run_chain(model, config: SamplerConfig, n_iterations: int,
               initial_theta: Optional[np.ndarray] = None,
-              chain_index: int = 0,
-              warm_start: bool = False) -> tuple[np.ndarray, ChainRecords]:
+              chain_index: int = 0) -> tuple[np.ndarray, ChainRecords]:
     """Run one chain and return (samples, records).
 
     Args:
@@ -406,8 +415,6 @@ def run_chain(model, config: SamplerConfig, n_iterations: int,
         initial_theta: Starting point; a standard normal draw from the chain
             stream when omitted.
         chain_index: Index used to split the chain's private random stream.
-        warm_start: Marks ``initial_theta`` as already equilibrated; only
-            recorded by callers, the kernel treats both cases identically.
 
     Returns:
         samples: Array of shape (n_iterations, D).
@@ -430,11 +437,12 @@ def run_chain(model, config: SamplerConfig, n_iterations: int,
                        np.asarray(model.gradient(theta), dtype=float))
     samples = np.empty((n_iterations, model.dimension))
     records = ChainRecords.empty(n_iterations)
+    draw_dt = config.dt_rule.draw
     for i in range(n_iterations):
         try:
-            state, rec = ghmc_iteration(state, config, model, rng)
+            ghmc_iteration(state, float(draw_dt(rng)), config, model, rng,
+                           records, i)
         except Exception as exc:
             raise RuntimeError(f"chain {chain_index} failed at iteration {i}: {exc}") from exc
         samples[i] = state.theta
-        records.set(i, rec)
     return samples, records

@@ -36,6 +36,7 @@ from .integrators import H_COLSI3, H_LOWER, lambda_k, rotation_angle
 from .saia import SAIA3Map, default_map
 from .samplers import (
     AdaptiveScheme,
+    ChainRecords,
     ChainState,
     DiscreteSet,
     Fixed,
@@ -123,20 +124,6 @@ class BurninStats:
         return self.omegas is not None
 
 
-class _Adaptable:
-    """Draw rule whose value the burn-in loop rewrites between iterations."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def draw(self, rng):
-        return self.value
-
-    @property
-    def mean(self):
-        return self.value
-
-
 def adapt_step_size(ar_estimate: float, dt: float, target_ar: float,
                     gain: float) -> float:
     """Multiplicative stochastic-approximation update of the step size.
@@ -159,7 +146,6 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
                gain: float = 1.0,
                ar_window: int = 40,
                initial_theta: Optional[np.ndarray] = None,
-               energy_from_accepted_only: bool = False,
                saia_map: Optional[SAIA3Map] = None,
                h_lower: float = H_LOWER):
     """Run the adaptation burn-in and collect tuning statistics.
@@ -191,10 +177,11 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
     else:
         raise ValueError("mode must be 'hmc' or 'ghmc'")
 
-    dt_rule = _Adaptable(dt0)
+    dt = float(dt0)
+    # the loop passes its adapted dt to every iteration; dt_rule is unused
     config = SamplerConfig(
         mode=mode,
-        dt_rule=dt_rule,
+        dt_rule=Fixed(dt),
         l_rule=Fixed(1),
         phi_rule=phi_rule,
         scheme=integrators.build_scheme("vv"),
@@ -208,40 +195,32 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
                        np.asarray(model.gradient(theta), dtype=float))
 
     samples = np.empty((n_burnin, d))
-    accepted = np.zeros(n_burnin, dtype=bool)
-    abs_dh = np.full(n_burnin, np.nan)
-    divergent = 0
+    records = ChainRecords.empty(n_burnin)
     window = []
     for t in range(1, n_burnin + 1):
-        state, rec = ghmc_iteration(state, config, model, rng)
+        ghmc_iteration(state, dt, config, model, rng, records, t - 1)
         samples[t - 1] = state.theta
-        accepted[t - 1] = rec.accepted
-        if rec.divergent:
-            divergent += 1
-            dt_rule.value = max(dt_rule.value * 0.5, 1e-12)
+        if records.divergent[t - 1]:
+            dt = max(dt * 0.5, 1e-12)
             window.clear()
             continue
-        abs_dh[t - 1] = abs(rec.delta_h)
-        window.append(1.0 if rec.accepted else 0.0)
+        window.append(1.0 if records.accepted[t - 1] else 0.0)
         if len(window) > ar_window:
             window.pop(0)
-        dt_rule.value = adapt_step_size(
-            float(np.mean(window)), dt_rule.value, target_ar, gain / math.sqrt(t)
-        )
+        dt = adapt_step_size(float(np.mean(window)), dt, target_ar,
+                             gain / math.sqrt(t))
 
     half = n_burnin // 2
-    ar = float(np.mean(accepted[half:]))
+    ar = float(np.mean(records.accepted[half:]))
     if ar == 0.0:
         raise TuningError(
             "no accepted proposals in the burn-in measurement window; "
             "restart with a smaller initial step size"
         )
-    if energy_from_accepted_only:
-        sel = accepted[half:] & np.isfinite(abs_dh[half:])
-    else:
-        sel = np.isfinite(abs_dh[half:])
-    energy_error = float(np.mean(abs_dh[half:][sel]))
-    dt_vv = dt_rule.value
+    # divergent proposals carry no energy-error information
+    kept = ~records.divergent[half:]
+    energy_error = float(np.mean(np.abs(records.delta_h[half:][kept])))
+    dt_vv = dt
 
     n_clamped = 0
     if collect_freq and model.has_hessian:
@@ -261,7 +240,7 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
         omega_max=omega_max,
         omega_std=omega_std,
         n_iterations=n_burnin,
-        n_divergent=divergent,
+        n_divergent=int(records.divergent.sum()),
         n_clamped=n_clamped,
     )
     return stats, samples

@@ -236,7 +236,7 @@ def test_criterion_08_desk_scale_replication(saia_map):
             chains, recs = [], []
             for c in range(4):
                 s, r = run_chain(model, cfg, n_iter, initial_theta=inits[c],
-                                 chain_index=c, warm_start=True)
+                                 chain_index=c)
                 chains.append(s)
                 recs.append(r)
             return ChainSet(np.stack(chains), recs, stages=3)

@@ -95,6 +95,37 @@ class TestPersistence:
         path = _write_chain(tmp_path / "chain_000", samples, binary=True)
         assert np.array_equal(_read_chain(path), samples)
 
+    @pytest.mark.parametrize("samples", [
+        np.array([[-0.0, 5e-324, 1e300, -1e-17],
+                  [1.0 / 3.0, -2.5, 0.1, 123456789.0]]),
+        np.array([[-0.0, 5e-324, 1e300, -1e-17]]),      # one row
+        np.array([[-0.0], [5e-324], [1e300], [-1e-17]]),  # D = 1
+        np.random.default_rng(2).standard_normal((30, 7)),
+    ], ids=["edge-values", "one-row", "one-column", "normal"])
+    def test_text_chain_io_matches_loop_code(self, tmp_path, samples):
+        def write_loop(path):
+            with open(path, "w") as fh:
+                fh.write("# ghmctune chain samples\n")
+                for row in samples:
+                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+        def read_loop(path):
+            rows = []
+            with open(path) as fh:
+                for line in fh:
+                    if line.startswith("#"):
+                        continue
+                    rows.append([float(v) for v in line.strip().split(",")])
+            return np.asarray(rows)
+
+        path = _write_chain(tmp_path / "chain_000", samples, binary=False)
+        write_loop(tmp_path / "loop.csv")
+        assert path.read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        back, want = _read_chain(path), read_loop(path)
+        assert back.shape == want.shape == samples.shape
+        assert back.dtype == want.dtype
+        assert back.tobytes() == want.tobytes() == samples.tobytes()
+
     def test_records_round_trip(self, tmp_path):
         rec = ChainRecords.empty(5)
         rec.accepted[:] = [True, False, True, True, False]

@@ -318,8 +318,8 @@ class TestApplySteps:
         rng = np.random.default_rng(3)
         s = build_scheme(name)
         theta, p = rng.standard_normal(3), rng.standard_normal(3)
-        t1, p1, _, _ = apply_leg(s, model, theta, p, 0.15, 4)
-        t2, p2, _, _ = apply_leg(s, model, t1, -p1, 0.15, 4)
+        t1, p1, _, _ = apply_leg(s.kicks, s.drifts, model, theta, p, 0.15, 4)
+        t2, p2, _, _ = apply_leg(s.kicks, s.drifts, model, t1, -p1, 0.15, 4)
         assert t2 == pytest.approx(theta, abs=1e-10)
         assert -p2 == pytest.approx(p, abs=1e-10)
 
@@ -328,7 +328,7 @@ class TestApplySteps:
         s = build_scheme("bcss3")
         theta, p = np.zeros(2), np.ones(2)
         grad0 = model.gradient(theta)
-        _, _, _, n = apply_leg(s, model, theta, p, 0.1, 5, grad=grad0)
+        _, _, _, n = apply_leg(s.kicks, s.drifts, model, theta, p, 0.1, 5, grad=grad0)
         assert n == 5 * s.stages
         _, _, _, n_cold = apply_step(s, model, theta, p, 0.1)
         assert n_cold == s.stages + 1

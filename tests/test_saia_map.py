@@ -101,6 +101,51 @@ class TestPersistence:
         assert np.array_equal(loaded.a_opt, saia_map.a_opt)
         assert loaded.n_flagged == saia_map.n_flagged
 
+    @staticmethod
+    def _corrupt(saia_map, path, node, b=None, a=None):
+        saia_map.save(path)
+        lines = path.read_text().splitlines()
+        data = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+        fields = lines[data[node]].split()
+        if b is not None:
+            fields[1] = repr(b)
+        if a is not None:
+            fields[2] = repr(a)
+        lines[data[node]] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("b, a", [
+        (0.6, None),            # kick 1/2 - b negative
+        (-0.01, None),          # end kicks negative
+        (float("nan"), None),
+        (None, 0.55),           # middle drift 1 - 2a negative
+        (0.3, 1.0),             # on the family, outside the admissible b
+        (0.3, 0.4),             # in range, off the family: a(0.3) = 1
+    ])
+    def test_load_rejects_corrupted_node(self, tmp_path, saia_map, b, a):
+        path = tmp_path / "map.txt"
+        self._corrupt(saia_map, path, 250, b=b, a=a)
+        with pytest.raises(ValueError):
+            SAIA3Map.load(path)
+
+    def test_default_map_rebuilds_corrupted_cache(self, tmp_path, monkeypatch,
+                                                  saia_map):
+        from ghmctune import saia
+
+        path = tmp_path / "saia3_map_600.txt"
+        self._corrupt(saia_map, path, 10, b=0.6)
+        builds = []
+        monkeypatch.setenv("GHMCTUNE_CACHE", str(tmp_path))
+        monkeypatch.setattr(saia, "build_saia3_map",
+                            lambda: builds.append(1) or saia_map)
+        saia.default_map.cache_clear()
+        try:
+            assert saia.default_map() is saia_map
+        finally:
+            saia.default_map.cache_clear()
+        assert builds == [1]
+        assert np.array_equal(SAIA3Map.load(path).b_opt, saia_map.b_opt)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a map\n1 2 3\n")

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from ghmctune.integrators import build_scheme, rotation_angle
+from ghmctune.integrators import OutOfStabilityError, build_scheme, rotation_angle
 from ghmctune.samplers import (
+    AdaptiveScheme,
+    ChainRecords,
     ChainState,
     DiscreteSet,
     Fixed,
+    FixedScheme,
     SamplerConfig,
     UniformInterval,
     UniformIntRange,
@@ -89,10 +92,12 @@ class TestIteration:
         config = _vv_config(mode="hmc", dt=0.5, l=7)
         rng = chain_rng(0, 0)
         state = ChainState(np.zeros(2), np.ones(2), 0.0, np.zeros(2))
-        for _ in range(20):
-            state, rec = ghmc_iteration(state, config, model, rng)
-            assert rec.delta_h == pytest.approx(0.0, abs=1e-12)
-            assert rec.accepted
+        records = ChainRecords.empty(20)
+        for i in range(20):
+            ghmc_iteration(state, config.dt_rule.draw(rng), config, model, rng,
+                           records, i)
+            assert records.delta_h[i] == pytest.approx(0.0, abs=1e-12)
+            assert records.accepted[i]
 
     def test_exact_rotation_oracle(self, std_gauss_1d):
         # analytic harmonic flow conserves energy exactly; the kernel pieces
@@ -124,15 +129,28 @@ class TestIteration:
         state = ChainState(theta, np.array([2.0]),
                            float(std_gauss_1d.potential(theta)),
                            std_gauss_1d.gradient(theta))
+        records = ChainRecords.empty(100)
         saw_rejection = False
-        for _ in range(100):
-            before = state
-            state, rec = ghmc_iteration(state, config, std_gauss_1d, rng)
-            if not rec.accepted:
+        for i in range(100):
+            before = state.theta.copy()
+            ghmc_iteration(state, config.dt_rule.draw(rng), config,
+                           std_gauss_1d, rng, records, i)
+            if not records.accepted[i]:
                 saw_rejection = True
-                assert np.array_equal(state.theta, before.theta)
+                assert np.array_equal(state.theta, before)
                 break
         assert saw_rejection
+
+
+class TestSchemeSelectors:
+    def test_stages(self, saia_map):
+        assert AdaptiveScheme(1.0, saia_map).stages == 3
+        for name, k in (("vv", 1), ("bcss2", 2), ("me3", 3)):
+            assert FixedScheme(build_scheme(name)).stages == k
+
+    def test_adaptive_range_checked_per_draw(self, saia_map):
+        with pytest.raises(OutOfStabilityError):
+            AdaptiveScheme(1.0, saia_map).step_coefficients(6.5)
 
 
 class TestRunChain:
