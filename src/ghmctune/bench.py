@@ -30,15 +30,22 @@ import multiprocessing
 import os
 import re
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import integrators
-from .diagnostics import ChainSet, DiagnosticsReport, diagnose, ref_metric
-from .integrators import H_LOWER, build_scheme
+from .diagnostics import (
+    ESS_METHODS,
+    PSRF_STATISTICS,
+    ChainSet,
+    DiagnosticsReport,
+    diagnose,
+    ref_metric,
+)
+from .integrators import H_LOWER, SCHEME_NAMES, build_scheme, scheme_key
 from .models import (
     TargetModel,
     banana_model,
@@ -48,6 +55,7 @@ from .models import (
     load_dataset,
     make_banana_spec,
     make_synthetic_blr,
+    sample_gaussian,
 )
 from .saia import default_map
 from .samplers import (
@@ -58,6 +66,7 @@ from .samplers import (
     SamplerConfig,
     UniformInterval,
     UniformIntRange,
+    chain_rng,
     run_chain,
 )
 from .tuning import TuningReport, atune, config_from_report
@@ -90,7 +99,9 @@ class RunConfig:
     """Benchmark run description; every field maps to a CLI flag.
 
     Overrides replace the corresponding tuned setting; leaving them unset
-    keeps the values from the tuning report.
+    keeps the values from the tuning report.  ``integrator`` names a fixed
+    scheme (``SCHEME_NAMES``) or "saia3", the tuned adaptive one; it is
+    stored folded by ``scheme_key``.
     """
 
     benchmark: str
@@ -142,6 +153,19 @@ class RunConfig:
         if self.warm_start and not re.fullmatch(r"gauss-\d+", self.benchmark):
             raise ConfigError("warm_start draws exact initial points and is "
                               "only available for gauss-<D> benchmarks")
+        if self.integrator is not None:
+            known = SCHEME_NAMES + ("saia3",)
+            key = scheme_key(self.integrator)
+            if key not in known:
+                raise ConfigError(f"unknown integrator '{self.integrator}'; "
+                                  f"known: {', '.join(known)}")
+            object.__setattr__(self, "integrator", key)
+        if self.psrf_statistic not in PSRF_STATISTICS:
+            raise ConfigError(f"psrf_statistic '{self.psrf_statistic}' is not "
+                              f"one of {', '.join(PSRF_STATISTICS)}")
+        if self.ess_method not in ESS_METHODS:
+            raise ConfigError(f"ess_method '{self.ess_method}' is not one of "
+                              f"{', '.join(ESS_METHODS)}")
         for tpl_field in ("dt_interval", "l_range", "l_choices", "phi_interval"):
             val = getattr(self, tpl_field)
             if val is not None:
@@ -317,9 +341,6 @@ def _build_sampler_config(config: RunConfig,
         raise ConfigError("GHMC needs a phi rule: tune first or override phi")
 
     if config.integrator is not None and config.integrator != "saia3":
-        if config.integrator == "saia2":
-            raise ConfigError("saia2 needs a fixed dimensionless step; choose "
-                              "a named fixed integrator or saia3")
         scheme = build_scheme(config.integrator)
     elif report is not None:
         scheme = AdaptiveScheme(report.cf, saia_map)
@@ -338,9 +359,6 @@ def _warm_init(config: RunConfig, chain_index: int) -> np.ndarray:
     Keyed by (seed, 10000 + chain) so warm starts never collide with the
     chain streams themselves.
     """
-    from .models import sample_gaussian
-    from .samplers import chain_rng
-
     d = int(re.fullmatch(r"gauss-(\d+)", config.benchmark).group(1))
     spec = gen_wishart_precision(d, seed=config.seed)
     rng = chain_rng(config.seed, 10_000 + chain_index)
@@ -446,19 +464,26 @@ def cmd_diagnose(out_dir: str | Path, statistic: Optional[str] = None,
                  threshold: Optional[float] = None,
                  window: Optional[int] = None,
                  ess_method: Optional[str] = None) -> DiagnosticsReport:
-    """Compute and persist diagnostics for a finished sample run."""
+    """Compute and persist diagnostics for a finished sample run.
+
+    Arguments left as None keep the run configuration's settings; the others
+    are checked like ``RunConfig`` fields before any chain is read.
+    """
     out_dir = Path(out_dir)
     if not (out_dir / "manifest.json").exists():
         raise FileNotFoundError(f"no manifest in {out_dir}")
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    config = RunConfig.from_dict(manifest["config"])
+    overrides = {"psrf_statistic": statistic, "psrf_threshold": threshold,
+                 "window": window, "ess_method": ess_method}
+    config = replace(RunConfig.from_dict(manifest["config"]),
+                     **{k: v for k, v in overrides.items() if v is not None})
     chain_set = load_chain_set(out_dir)
     report = diagnose(
         chain_set,
-        threshold=threshold if threshold is not None else config.psrf_threshold,
-        statistic=statistic if statistic is not None else config.psrf_statistic,
-        window=window if window is not None else config.window,
-        ess_method=ess_method if ess_method is not None else config.ess_method,
+        threshold=config.psrf_threshold,
+        statistic=config.psrf_statistic,
+        window=config.window,
+        ess_method=config.ess_method,
         wall_seconds=manifest.get("timings", {}).get("sampling_seconds"),
     )
     (out_dir / "diagnostics.json").write_text(report.to_json())

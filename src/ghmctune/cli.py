@@ -45,7 +45,7 @@ _CONFIG_FIELDS = [
     ("--seed", int, "root seed"),
     ("--out-dir", str, "output directory"),
     ("--dataset-path", str, "dataset file for blr-file"),
-    ("--integrator", str, "fixed integrator override (vv, vv2, vv3, bcss2, bcss3, me2, me3)"),
+    ("--integrator", str, "integrator override: vv, vv2, vv3, bcss2, bcss3, me2, me3 or saia3"),
     ("--dt-fixed", float, "fixed step size override"),
     ("--fitting-mode", str, "fitting factor mode: auto, s, s_omega"),
     ("--ar-target", float, "burn-in target acceptance rate"),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Optional
@@ -46,6 +47,10 @@ __all__ = [
 
 class DiagnosticsError(ValueError):
     pass
+
+
+ESS_METHODS = ("geyer", "ar")
+PSRF_STATISTICS = ("max", "avg")
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +220,32 @@ def _chain_cov(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
     return (am * bm).sum(axis=0) / (c - 1)
 
 
+def _psrf_scan(chains: np.ndarray, statistic: str, ratio: float = 1.2,
+               min_n: int = 50):
+    """PSRF over prefixes on a geometric checkpoint grid.
+
+    Checkpoints start at max(min_n, 10), grow by ``ratio`` (rounded up) and
+    end with the full length.  Yields (m, max_psrf, avg_psrf, stat) per
+    checkpoint m, with ``stat`` the max or avg value named by ``statistic``.
+    """
+    if statistic not in PSRF_STATISTICS:
+        raise ValueError(f"statistic must be one of {PSRF_STATISTICS}, "
+                         f"got {statistic!r}")
+    x = np.asarray(chains, dtype=float)
+    if x.ndim == 2:
+        x = x[:, :, None]
+    n = x.shape[1]
+    m = max(min_n, 10)
+    while True:
+        m = min(m, n)
+        per_dim, top = psrf(x[:, :m, :])
+        avg = float(per_dim.mean())
+        yield m, top, avg, (top if statistic == "max" else avg)
+        if m == n:
+            return
+        m = int(math.ceil(m * ratio))
+
+
 def find_n_conv(chains: np.ndarray, threshold: float = 1.01,
                 statistic: str = "max", ratio: float = 1.2,
                 min_n: int = 50) -> Optional[int]:
@@ -225,24 +256,8 @@ def find_n_conv(chains: np.ndarray, threshold: float = 1.01,
     "avg" over dimensions.  Returns None when no checkpoint satisfies the
     threshold.
     """
-    x = np.asarray(chains, dtype=float)
-    if x.ndim == 2:
-        x = x[:, :, None]
-    n = x.shape[1]
-    if statistic not in ("max", "avg"):
-        raise ValueError("statistic must be 'max' or 'avg'")
-    checkpoints = []
-    m = max(min_n, 10)
-    while m < n:
-        checkpoints.append(m)
-        m = int(math.ceil(m * ratio))
-    checkpoints.append(n)
-    for m in checkpoints:
-        per_dim, top = psrf(x[:, :m, :])
-        stat = top if statistic == "max" else float(per_dim.mean())
-        if stat < threshold:
-            return m
-    return None
+    return next((m for m, _, _, stat in _psrf_scan(chains, statistic, ratio, min_n)
+                 if stat < threshold), None)
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +398,19 @@ def diagnose(chain_set: ChainSet, threshold: float = 1.01,
     The grad/ESS triple is evaluated over the first N_conv + window
     iterations, ESS summed across chains; when convergence is not reached
     within the run the ESS fields stay unset and only the PSRF trajectory is
-    reported.
+    reported.  An unknown ``statistic`` or ``ess_method`` raises ValueError
+    before any PSRF or ESS is computed.
     """
+    if ess_method not in ESS_METHODS:
+        raise ValueError(f"ess_method must be one of {ESS_METHODS}, got {ess_method!r}")
     samples = chain_set.samples
     c, n, d = samples.shape
     if window is None:
         window = default_window(d)
     trajectory = []
-    m = 50
-    checkpoints = []
-    while m < n:
-        checkpoints.append(m)
-        m = int(math.ceil(m * 1.2))
-    checkpoints.append(n)
     n_conv = None
-    for m in checkpoints:
-        per_dim, top = psrf(samples[:, :m, :])
-        avg = float(per_dim.mean())
+    for m, top, avg, stat in _psrf_scan(samples, statistic):
         trajectory.append((m, top, avg))
-        stat = top if statistic == "max" else avg
         if n_conv is None and stat < threshold:
             n_conv = m
     report = DiagnosticsReport(
@@ -425,8 +434,6 @@ def diagnose(chain_set: ChainSet, threshold: float = 1.01,
     ess_mean = float(per_dim_ess.mean())
     ess_multi = float(sum(multi_ess(samples[ch, :upto, :]) for ch in range(c)))
     if ess_multi > 1.1 * c * upto or ess_mean > 1.1 * c * upto:
-        import warnings
-
         warnings.warn("ESS exceeds 1.1 x chains x window; estimator noise or "
                       "antithetic sampling", RuntimeWarning)
     report.ess_min = ess_min

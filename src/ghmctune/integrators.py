@@ -7,8 +7,9 @@ merged.  The module provides:
 
 * the named one-, two- and three-stage schemes used by the samplers
   (velocity Verlet and its two/three-stage compositions, the minimax
-  energy-error schemes BCSS2/BCSS3, the minimum truncation-error schemes
-  ME2/ME3, and the step-size adaptive schemes built in :mod:`ghmctune.saia`),
+  energy-error schemes BCSS2/BCSS3 and the minimum truncation-error schemes
+  ME2/ME3; the step-size adaptive three-stage coefficients are tabulated in
+  :mod:`ghmctune.saia`),
 * the 2x2 one-step propagator on the standard harmonic oscillator and the
   derived quantities used everywhere in the tuning analysis: one-step
   expected energy error (B_h + C_h)^2 / 2, the trajectory-length-independent
@@ -38,6 +39,7 @@ __all__ = [
     "SplittingScheme",
     "HarmonicPropagator",
     "SCHEME_NAMES",
+    "scheme_key",
     "B_BCSS3",
     "A_BCSS3",
     "H_LOWER",
@@ -75,7 +77,7 @@ H_COLSI3 = 3.0
 
 _TRACE_EPS = 1e-9  # |A+D| may touch 2 tangentially inside a stability interval
 
-SCHEME_NAMES = ("vv", "vv2", "vv3", "bcss2", "bcss3", "me2", "me3", "saia2", "saia3")
+SCHEME_NAMES = ("vv", "vv2", "vv3", "bcss2", "bcss3", "me2", "me3")
 
 
 class OutOfStabilityError(ValueError):
@@ -131,6 +133,10 @@ class SplittingScheme:
     @property
     def a1(self) -> float:
         return self.drifts[0]
+
+    def step_coefficients(self, dt: float) -> tuple[tuple, tuple]:
+        """The (kicks, drifts) of every step, whatever the step size."""
+        return self.kicks, self.drifts
 
     @staticmethod
     def one_stage(name: str = "vv") -> "SplittingScheme":
@@ -194,20 +200,21 @@ def bcss2_coefficient() -> float:
     return float(res.x)
 
 
-def build_scheme(name: str, h: float | None = None, saia_map=None) -> SplittingScheme:
-    """Construct a named scheme.
+def scheme_key(name: str) -> str:
+    """Integrator name folded to lower case without dashes or underscores."""
+    return name.lower().replace("-", "").replace("_", "")
+
+
+def build_scheme(name: str) -> SplittingScheme:
+    """Construct a named fixed scheme.
 
     Args:
-        name: One of ``SCHEME_NAMES`` (case-insensitive; "s-aia3" and "saia3"
-            are both accepted).
-        h: Dimensionless step size, required for the adaptive saia schemes.
-        saia_map: Optional prebuilt coefficient map for "saia3"; the cached
-            default map is used otherwise.
+        name: One of ``SCHEME_NAMES``, matched after ``scheme_key`` folding.
 
     Raises:
-        ValueError: Unknown name, or a missing/out-of-range h for saia-k.
+        ValueError: Unknown name.
     """
-    key = name.lower().replace("-", "").replace("_", "")
+    key = scheme_key(name)
     if key == "vv":
         return SplittingScheme.one_stage("vv")
     if key == "vv2":
@@ -223,18 +230,6 @@ def build_scheme(name: str, h: float | None = None, saia_map=None) -> SplittingS
     if key == "me3":
         b = me3_coefficient()
         return SplittingScheme.three_stage(b, three_stage_a(b), "me3")
-    if key in ("saia2", "saia3"):
-        k = 2 if key == "saia2" else 3
-        if h is None:
-            raise ValueError(f"{name} requires a step size h")
-        if not 0.0 < h < 2.0 * k:
-            raise OutOfStabilityError(f"{name} needs h in (0, {2 * k}), got {h}")
-        from . import saia  # local import, saia depends on this module
-
-        if k == 2:
-            return SplittingScheme.two_stage(saia.saia2_coefficient(h), f"saia2@{h:g}")
-        m = saia_map if saia_map is not None else saia.default_map()
-        return m.scheme_at(h)
     raise ValueError(f"unknown integrator '{name}'; known: {', '.join(SCHEME_NAMES)}")
 
 
@@ -321,14 +316,22 @@ def expected_energy_error_vv(k: int, h: float) -> float:
 # Three-stage energy-error bound rho3 and its local maximum
 
 
-def _rho3_parts(h, b):
+def _rho3_closed_form(h, b):
+    """rho3 at step sizes h (scalar or array) and kick b, with its domain mask.
+
+    Values outside the domain are meaningless (possibly inf or nan).
+    """
+    h = np.asarray(h, dtype=float)
     h2 = h * h
     p = ((b - 1.25) * b + 0.5) * b - 0.0625
     s = ((-3.0 * b + 8.0) * b - 4.75) * b * b + b + b * b * h2 * p - 0.0625
     f1 = 3.0 * b - b * h2 * (b - 0.25) - 1.0
     f2 = 1.0 - 3.0 * b - b * h2 * (b - 0.5) ** 2
     f3 = (6.0 - 9.0 * b) * b - h2 * p - 1.0
-    return s, f1, f2, f3
+    ok = (f1 < 0.0) & (f2 > 0.0) & (f3 < 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = h2 * h2 * s * s / (2.0 * f1 * f2 * f3)
+    return val, ok
 
 
 def rho3_domain_ok(h: float, b: float) -> bool:
@@ -338,8 +341,7 @@ def rho3_domain_ok(h: float, b: float) -> bool:
     fixed signs (negative, positive, negative), so their product, and with
     it the bound, stays positive.
     """
-    _, f1, f2, f3 = _rho3_parts(h, b)
-    return (f1 < 0.0) and (f2 > 0.0) and (f3 < 0.0)
+    return bool(_rho3_closed_form(h, b)[1])
 
 
 def rho3(h: float, b: float) -> float:
@@ -358,23 +360,15 @@ def rho3(h: float, b: float) -> float:
     Raises:
         OutOfStabilityError: Outside the admissible sign region.
     """
-    s, f1, f2, f3 = _rho3_parts(h, b)
-    if not ((f1 < 0.0) and (f2 > 0.0) and (f3 < 0.0)):
+    val, ok = _rho3_closed_form(h, b)
+    if not ok:
         raise OutOfStabilityError(f"(h={h}, b={b}) outside the rho3 domain")
-    return h ** 4 * s * s / (2.0 * f1 * f2 * f3)
+    return float(val)
 
 
 def rho3_grid(hs: np.ndarray, b: float) -> np.ndarray:
     """Vectorized rho3 over an array of step sizes; +inf outside the domain."""
-    h2 = hs * hs
-    p = ((b - 1.25) * b + 0.5) * b - 0.0625
-    s = ((-3.0 * b + 8.0) * b - 4.75) * b * b + b + b * b * h2 * p - 0.0625
-    f1 = 3.0 * b - b * h2 * (b - 0.25) - 1.0
-    f2 = 1.0 - 3.0 * b - b * h2 * (b - 0.5) ** 2
-    f3 = (6.0 - 9.0 * b) * b - h2 * p - 1.0
-    ok = (f1 < 0.0) & (f2 > 0.0) & (f3 < 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = h2 * h2 * s * s / (2.0 * f1 * f2 * f3)
+    val, ok = _rho3_closed_form(hs, b)
     return np.where(ok, val, np.inf)
 
 

@@ -18,10 +18,6 @@ bound's admissible region (h above roughly 5.15, where no positive kick
 coefficient keeps every denominator factor in range) are flagged and carry
 the last feasible coefficients; production step sizes live in
 [2.0772, 3] and never touch them.
-
-A two-stage analogue (for the "saia2" named scheme) applies the same minimax
-rule to the two-stage bound, which needs no family relation since two-stage
-palindromic schemes have a single free coefficient.
 """
 
 from __future__ import annotations
@@ -34,15 +30,9 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .integrators import (
-    OutOfStabilityError,
-    SplittingScheme,
-    energy_error_bound,
-    rho3_grid,
-    three_stage_a,
-)
+from .integrators import OutOfStabilityError, SplittingScheme, rho3_grid, three_stage_a
 
-__all__ = ["SAIA3Map", "build_saia3_map", "default_map", "saia2_coefficient"]
+__all__ = ["SAIA3Map", "build_saia3_map", "default_map"]
 
 _B_BOUNDS = (0.02, 0.2499)  # family needs b in (0, 1/4); optimum is interior
 _INNER_GRID = 400  # step-size resolution of the inner sup per node
@@ -190,24 +180,3 @@ def default_map() -> SAIA3Map:
         pass  # read-only cache location; keep the in-memory map
     return m
 
-
-@functools.lru_cache(maxsize=4096)
-def saia2_coefficient(h: float) -> float:
-    """Minimax kick coefficient for the adaptive two-stage scheme at step h."""
-    hs = np.linspace(h / _INNER_GRID, h, _INNER_GRID)
-
-    def worst(b):
-        scheme = SplittingScheme.two_stage(b, "tmp")
-        top = 0.0
-        for x in hs:
-            try:
-                top = max(top, energy_error_bound(scheme, x))
-            except OutOfStabilityError:
-                return np.inf
-        return top
-
-    res = minimize_scalar(worst, bounds=(0.1, 0.2499), method="bounded",
-                          options={"xatol": 1e-12})
-    if not np.isfinite(worst(res.x)):
-        raise OutOfStabilityError(f"no feasible two-stage coefficient at h={h}")
-    return float(res.x)

@@ -18,10 +18,11 @@ Within an iteration the stream is consumed in a fixed order: dt draw, L draw,
 phi draw (when randomized), refresh noise, acceptance uniform.
 
 An iteration does only these draws, numpy arithmetic and model calls.  The
-scheme selectors hand the kernel plain (kicks, drifts) coefficient tuples,
-looked up from the tabulated s-AIA3 map for the adaptive integrator; the
-iteration updates one ``ChainState`` per chain in place and writes its record
-straight into row i of the chain's ``ChainRecords``.
+integrator hands the kernel plain (kicks, drifts) coefficient tuples: a fixed
+``SplittingScheme`` its own, ``AdaptiveScheme`` those looked up from the
+tabulated s-AIA3 map at each drawn step; the iteration updates one
+``ChainState`` per chain in place and writes its record straight into row i
+of the chain's ``ChainRecords``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .integrators import SplittingScheme, apply_leg
+from .integrators import apply_leg
 from .saia import SAIA3Map
 
 __all__ = [
@@ -40,8 +41,6 @@ __all__ = [
     "UniformInterval",
     "UniformIntRange",
     "DiscreteSet",
-    "PhiFromStep",
-    "FixedScheme",
     "AdaptiveScheme",
     "SamplerConfig",
     "ChainState",
@@ -130,44 +129,14 @@ class DiscreteSet:
         return sum(self.values) / len(self.values)
 
 
-@dataclass(frozen=True)
-class PhiFromStep:
-    """Refresh noise recomputed each iteration from the drawn step size.
-
-    Evaluates the optimal-noise formula at h = cf * dt instead of drawing
-    from a fixed interval (kept behind this rule; interval randomization is
-    the default).
-    """
-
-    cf: float
-    dimension: int
-    saia_map: SAIA3Map
-
-    def phi_at(self, dt: float) -> float:
-        from .tuning import phi_opt  # cycle-free at call time
-
-        return phi_opt(self.cf * dt, self.dimension, self.saia_map)
-
-
 # ---------------------------------------------------------------------------
-# Scheme selectors
+# Adaptive scheme
 
 
-# A selector maps the drawn step size to the (kicks, drifts) coefficient
-# tuples of one integration step and reports the gradient evaluations per
-# step as ``stages``.
-
-
-@dataclass(frozen=True)
-class FixedScheme:
-    scheme: SplittingScheme
-
-    @property
-    def stages(self) -> int:
-        return self.scheme.stages
-
-    def step_coefficients(self, dt: float) -> tuple[tuple, tuple]:
-        return self.scheme.kicks, self.scheme.drifts
+# The kernel takes any scheme that maps the drawn step size to the
+# (kicks, drifts) coefficient tuples of one integration step with
+# ``step_coefficients(dt)`` and reports the gradient evaluations per step as
+# ``stages``: a fixed ``SplittingScheme`` or the adaptive scheme below.
 
 
 @dataclass(frozen=True)
@@ -204,8 +173,8 @@ class SamplerConfig:
         l_rule: Draw rule for the number of integration steps per iteration.
         phi_rule: Draw rule for the refresh noise in (0, 1]; forced to
             Fixed(1.0) in HMC mode.
-        scheme: A ``SplittingScheme`` (wrapped in ``FixedScheme``) or a
-            selector with a ``step_coefficients(dt)`` method and ``stages``.
+        scheme: A ``SplittingScheme`` or an ``AdaptiveScheme``, or any
+            object with a ``step_coefficients(dt)`` method and ``stages``.
         mass_diag: Diagonal of the mass matrix (identity when None).
         seed: Root seed; chains split private streams off it.
     """
@@ -213,7 +182,7 @@ class SamplerConfig:
     mode: str
     dt_rule: Union[Fixed, UniformInterval]
     l_rule: Union[Fixed, UniformIntRange, DiscreteSet]
-    phi_rule: Union[Fixed, UniformInterval, PhiFromStep, None] = None
+    phi_rule: Union[Fixed, UniformInterval, None] = None
     scheme: object = None
     mass_diag: Optional[np.ndarray] = None
     seed: int = 0
@@ -221,10 +190,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.mode not in ("hmc", "ghmc"):
             raise ValueError("mode must be 'hmc' or 'ghmc'")
-        if isinstance(self.scheme, SplittingScheme):
-            object.__setattr__(self, "scheme", FixedScheme(self.scheme))
-        if self.scheme is None or not hasattr(self.scheme, "step_coefficients"):
-            raise ValueError("scheme must be a SplittingScheme or a selector")
+        if not hasattr(self.scheme, "step_coefficients"):
+            raise ValueError("scheme must be a SplittingScheme or an AdaptiveScheme")
         if self.mode == "hmc":
             if self.phi_rule is None:
                 object.__setattr__(self, "phi_rule", Fixed(1.0))
@@ -359,10 +326,7 @@ def ghmc_iteration(state: ChainState, dt: float, config: SamplerConfig, model,
     reuses the gradient cached in the state).
     """
     n_steps = int(config.l_rule.draw(rng))
-    if isinstance(config.phi_rule, PhiFromStep):
-        phi = config.phi_rule.phi_at(dt)
-    else:
-        phi = float(config.phi_rule.draw(rng))
+    phi = float(config.phi_rule.draw(rng))
 
     mass_diag = config.mass_diag
     p = partial_momentum_update(state.p, phi, mass_diag, rng)

@@ -40,7 +40,6 @@ from .samplers import (
     ChainState,
     DiscreteSet,
     Fixed,
-    PhiFromStep,
     SamplerConfig,
     UniformInterval,
     chain_rng,
@@ -503,8 +502,7 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc",
                      fitting_mode: str = "auto",
                      saia_map: Optional[SAIA3Map] = None,
                      seed: int = 0,
-                     h_lower: float = H_LOWER,
-                     adapt_phi_each_iteration: bool = False):
+                     h_lower: float = H_LOWER):
     """Assemble the tuning report and a ready-to-run sampler configuration.
 
     Args:
@@ -516,8 +514,6 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc",
         seed: Root seed stored in the sampler configuration.
         h_lower: Lower endpoint of the dimensionless step interval
             (perturbed by the sensitivity harness, 2.0772 otherwise).
-        adapt_phi_each_iteration: Recompute the optimal noise at each drawn
-            step size instead of drawing from the fixed interval.
 
     Returns:
         (TuningReport, SamplerConfig)
@@ -554,20 +550,16 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc",
         burnin_iterations=stats.n_iterations,
         seed=seed,
     )
-    config = config_from_report(report, seed=seed, saia_map=saia_map,
-                                adapt_phi_each_iteration=adapt_phi_each_iteration)
+    config = config_from_report(report, seed=seed, saia_map=saia_map)
     return report, config
 
 
 def config_from_report(report: TuningReport, seed: Optional[int] = None,
-                       saia_map: Optional[SAIA3Map] = None,
-                       adapt_phi_each_iteration: bool = False) -> SamplerConfig:
+                       saia_map: Optional[SAIA3Map] = None) -> SamplerConfig:
     """Rebuild a production sampler configuration from a serialized report."""
     saia_map = saia_map or default_map()
     if report.mode == "ghmc":
-        if adapt_phi_each_iteration:
-            phi_rule = PhiFromStep(report.cf, report.dimension, saia_map)
-        elif report.phi_lower == report.phi_upper:
+        if report.phi_lower == report.phi_upper:
             phi_rule = Fixed(report.phi_lower)
         else:
             phi_rule = UniformInterval(report.phi_lower, report.phi_upper)

@@ -56,6 +56,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             _small_config(tmp_path, benchmark="banana", warm_start=True)
 
+    @pytest.mark.parametrize("name", ["leapfrog", "saia2", "saia", ""])
+    def test_unknown_integrator_rejected(self, tmp_path, name):
+        with pytest.raises(ConfigError, match="unknown integrator"):
+            _small_config(tmp_path, integrator=name)
+
+    def test_integrator_name_folded(self, tmp_path):
+        assert _small_config(tmp_path, integrator="S-AIA3").integrator == "saia3"
+        assert _small_config(tmp_path, integrator="BCSS_3").integrator == "bcss3"
+
+    @pytest.mark.parametrize("field,value", [("psrf_statistic", "maxx"),
+                                             ("ess_method", "foo")])
+    def test_diagnose_settings_checked(self, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=field):
+            _small_config(tmp_path, **{field: value})
+
 
 class TestBenchmarks:
     def test_gauss_preset(self, tmp_path):
@@ -266,6 +281,25 @@ class TestCli:
     def test_missing_run_dir_exits_io_error(self, tmp_path):
         code = main(["diagnose", str(tmp_path / "missing")])
         assert code == 4
+
+    def test_unknown_integrator_exits_before_output(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code = main(["sample", "--benchmark", "gauss-5", "--mode", "hmc",
+                     "--integrator", "leapfrog", "--dt-fixed", "0.1",
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "unknown integrator" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--psrf-statistic", "maxx"],
+                                       ["--ess-method", "foo"]])
+    def test_diagnose_rejects_unknown_settings(self, tmp_path, flags):
+        out = tmp_path / "run"
+        cmd_sample(_small_config(tmp_path, mode="hmc", integrator="vv",
+                                 dt_fixed=0.3, l_fixed=2, n_prod=100))
+        assert main(["diagnose", str(out), *flags]) == 2
+        assert not (out / "diagnostics.json").exists()
+        assert main(["diagnose", str(out), "--window", "50"]) == 0
 
     def test_tune_and_sample_flow(self, tmp_path, capsys):
         out = tmp_path / "cli-run"

@@ -150,6 +150,11 @@ class TestFindNConv:
         assert n_avg is not None and n_max is not None
         assert n_avg <= n_max
 
+    def test_unknown_statistic(self):
+        chains = np.random.default_rng(10).standard_normal((4, 400, 3))
+        with pytest.raises(ValueError, match="statistic"):
+            find_n_conv(chains, statistic="maxx")
+
 
 class TestGradPerEss:
     def test_arithmetic(self):
@@ -222,6 +227,29 @@ class TestDiagnose:
         report = diagnose(ChainSet(chains))
         assert report.n_conv is None
         assert report.ess_mean is None and report.grad is None
+
+    @pytest.mark.parametrize("statistic", ["max", "avg"])
+    def test_scan_matches_find_n_conv(self, statistic):
+        chains = np.random.default_rng(13).standard_normal((4, 400, 3))
+        report = diagnose(ChainSet(chains), statistic=statistic, window=100)
+        assert report.n_conv == find_n_conv(chains, statistic=statistic)
+        ms = [m for m, _, _ in report.psrf_trajectory]
+        assert ms == [50, 60, 72, 87, 105, 126, 152, 183, 220, 264, 317, 381, 400]
+        for m, top, avg in report.psrf_trajectory:
+            per_dim, want = psrf(chains[:, :m, :])
+            assert (top, avg) == (want, float(per_dim.mean()))
+
+    def test_rejects_unknown_settings_before_work(self, monkeypatch):
+        chain_set = ChainSet(np.random.default_rng(14).standard_normal((4, 400, 3)))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("PSRF computed before the settings were checked")
+
+        monkeypatch.setattr("ghmctune.diagnostics.psrf", no_work)
+        with pytest.raises(ValueError, match="ess_method"):
+            diagnose(chain_set, ess_method="foo")
+        with pytest.raises(ValueError, match="statistic"):
+            diagnose(chain_set, statistic="maxx")
 
     def test_tables_written(self, tmp_path):
         rng = np.random.default_rng(12)

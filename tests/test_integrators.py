@@ -24,6 +24,7 @@ from ghmctune.integrators import (
     me3_coefficient,
     rho3,
     rho3_domain_ok,
+    rho3_grid,
     rotation_angle,
     stability_interval,
     three_stage_a,
@@ -72,11 +73,17 @@ class TestBuildScheme:
         with pytest.raises(ValueError, match="unknown integrator"):
             build_scheme("leapfrog9000")
 
-    def test_saia_requires_step(self):
-        with pytest.raises(ValueError):
-            build_scheme("saia3")
-        with pytest.raises(OutOfStabilityError):
-            build_scheme("saia3", h=7.0)
+    def test_name_folding(self):
+        assert build_scheme("BCSS-3") == build_scheme("bcss3")
+        with pytest.raises(ValueError, match="unknown integrator"):
+            build_scheme("saia3")  # adaptive, not a fixed named scheme
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_step_coefficients_are_own_tuples(self, name):
+        s = build_scheme(name)
+        for dt in (0.01, 0.7, 5.0):
+            kicks, drifts = s.step_coefficients(dt)
+            assert kicks is s.kicks and drifts is s.drifts
 
     @given(b=st.floats(0.03, 0.24))
     @settings(max_examples=30, deadline=None)
@@ -163,6 +170,21 @@ class TestRho3:
     def test_domain_violation_raises(self):
         with pytest.raises(OutOfStabilityError):
             rho3(5.5, B_BCSS3)
+
+    @pytest.mark.parametrize("b", [0.03, 1 / 6, B_BCSS3, 0.2, 0.2499])
+    def test_scalar_equals_grid(self, b):
+        hs = np.linspace(0.01, 6.0, 600)
+        grid = rho3_grid(hs, b)
+        assert np.isfinite(grid).any() and np.isinf(grid).any()
+        for h, want in zip(hs, grid):
+            if np.isfinite(want):
+                assert rho3_domain_ok(h, b)
+                got = rho3(h, b)
+                assert type(got) is float and got == want
+            else:
+                assert not rho3_domain_ok(h, b)
+                with pytest.raises(OutOfStabilityError):
+                    rho3(h, b)
 
     @pytest.mark.parametrize("b,a", [(B_BCSS3, A_BCSS3),
                                      (1 / 6, 1 / 3)])

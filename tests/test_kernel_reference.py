@@ -22,8 +22,6 @@ from ghmctune.samplers import (
     AdaptiveScheme,
     DiscreteSet,
     Fixed,
-    FixedScheme,
-    PhiFromStep,
     SamplerConfig,
     UniformInterval,
     UniformIntRange,
@@ -56,8 +54,8 @@ class _Record:
 
 
 def _scheme_at(selector, dt: float) -> SplittingScheme:
-    if isinstance(selector, FixedScheme):
-        return selector.scheme
+    if isinstance(selector, SplittingScheme):
+        return selector
     assert isinstance(selector, AdaptiveScheme)
     return selector.saia_map.scheme_at(selector.cf * dt)
 
@@ -94,10 +92,7 @@ def _iteration(state, config, model, rng):
     mass_diag = config.mass_diag
     dt = float(config.dt_rule.draw(rng))
     n_steps = int(config.l_rule.draw(rng))
-    if isinstance(config.phi_rule, PhiFromStep):
-        phi = config.phi_rule.phi_at(dt)
-    else:
-        phi = float(config.phi_rule.draw(rng))
+    phi = float(config.phi_rule.draw(rng))
     u = rng.standard_normal(state.p.shape)
     if mass_diag is not None:
         u = u * np.sqrt(mass_diag)
@@ -199,9 +194,6 @@ CASES = {
     "divergent-steps": lambda m: dict(
         mode="hmc", dt_rule=UniformInterval(0.2, 0.8),
         l_rule=UniformIntRange(1, 12), scheme=build_scheme("vv"), seed=8),
-    "phi-from-step": lambda m: dict(
-        mode="ghmc", dt_rule=_dt_interval(), l_rule=Fixed(2),
-        phi_rule=PhiFromStep(6.0, 8, m), scheme=_adaptive(m), seed=9),
 }
 
 

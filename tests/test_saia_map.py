@@ -6,13 +6,12 @@ from ghmctune.integrators import (
     B_BCSS3,
     H_LOWER,
     OutOfStabilityError,
-    bcss2_coefficient,
     build_scheme,
     energy_error_one_step,
     rho3_grid,
     three_stage_a,
 )
-from ghmctune.saia import SAIA3Map, build_saia3_map, saia2_coefficient
+from ghmctune.saia import SAIA3Map, build_saia3_map
 
 
 def _worst(h, b, n=400):
@@ -152,14 +151,3 @@ class TestPersistence:
         with pytest.raises(ValueError):
             SAIA3Map.load(path)
 
-
-class TestSaia2:
-    def test_matches_bcss2_at_full_interval(self):
-        # the two-stage minimax at h = 2 is the BCSS2 coefficient
-        assert saia2_coefficient(2.0) == pytest.approx(bcss2_coefficient(),
-                                                       abs=1e-6)
-
-    def test_build_scheme_integration(self):
-        s = build_scheme("saia2", h=1.5)
-        assert s.stages == 2
-        assert sum(s.kicks) == pytest.approx(1.0, abs=1e-12)

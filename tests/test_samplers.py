@@ -11,7 +11,6 @@ from ghmctune.samplers import (
     ChainState,
     DiscreteSet,
     Fixed,
-    FixedScheme,
     SamplerConfig,
     UniformInterval,
     UniformIntRange,
@@ -146,7 +145,16 @@ class TestSchemeSelectors:
     def test_stages(self, saia_map):
         assert AdaptiveScheme(1.0, saia_map).stages == 3
         for name, k in (("vv", 1), ("bcss2", 2), ("me3", 3)):
-            assert FixedScheme(build_scheme(name)).stages == k
+            assert build_scheme(name).stages == k
+
+    def test_config_takes_schemes_unwrapped(self, saia_map):
+        for scheme in (build_scheme("bcss3"), AdaptiveScheme(1.0, saia_map)):
+            config = SamplerConfig(mode="hmc", dt_rule=Fixed(2.5), l_rule=Fixed(1),
+                                   scheme=scheme)
+            assert config.scheme is scheme
+        with pytest.raises(ValueError):
+            SamplerConfig(mode="hmc", dt_rule=Fixed(0.1), l_rule=Fixed(1),
+                          scheme="bcss3")
 
     def test_adaptive_range_checked_per_draw(self, saia_map):
         with pytest.raises(OutOfStabilityError):

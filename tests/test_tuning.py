@@ -313,13 +313,3 @@ class TestProduceSettings:
         assert isinstance(rebuilt.dt_rule, UniformInterval)
         assert rebuilt.dt_rule == config.dt_rule
         assert rebuilt.phi_rule == config.phi_rule
-
-    def test_phi_adaptation_flag(self, std_gauss_2d, saia_map):
-        report, config, _ = atune(std_gauss_2d, mode="ghmc", n_burnin=300,
-                                  saia_map=saia_map, seed=2)
-        adaptive = config_from_report(report, saia_map=saia_map,
-                                      adapt_phi_each_iteration=True)
-        samples, records = run_chain(std_gauss_2d, adaptive, 100)
-        # per-iteration noise follows the drawn step, still inside (0, 1]
-        assert np.all(records.phi > 0.0) and np.all(records.phi <= 1.0)
-        assert len(np.unique(records.phi)) > 1
