@@ -414,14 +414,15 @@ def cmd_sample(config: RunConfig, report: Optional[TuningReport] = None,
     results do not depend on the worker count.
     """
     out = config.resolved_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     report_path = None
     needs_tuning = report is None and (config.dt_fixed is None
                                        and config.dt_interval is None)
     if needs_tuning or (report is None and config.integrator in (None, "saia3")):
         report = cmd_tune(config, out_dir=out)
         report_path = out / "tuning_report.json"
+    # without inline tuning, an invalid run is rejected before its directory exists
     sampler_config = _build_sampler_config(config, report)
+    out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     tasks = [(config.to_dict(), report.to_json() if report else None, i)
@@ -666,7 +667,7 @@ def cmd_analyze_integrators(out_dir: str | Path,
                     bound = integrators.energy_error_bound(scheme, h)
                 except integrators.OutOfStabilityError:
                     bound = float("inf")
-                fh.write(f"{name},{h!r},{err!r},{bound!r}\n")
+                fh.write(f"{name},{float(h)!r},{float(err)!r},{float(bound)!r}\n")
     with open(out_dir / "rho3_vs_h.csv", "w") as fh:
         fh.write("label,b,h,rho3\n")
         labels = {"bcss3": integrators.B_BCSS3,
@@ -678,7 +679,7 @@ def cmd_analyze_integrators(out_dir: str | Path,
                     val = integrators.rho3(h, b)
                 except integrators.OutOfStabilityError:
                     continue
-                fh.write(f"{label},{b!r},{h!r},{val!r}\n")
+                fh.write(f"{label},{b!r},{float(h)!r},{val!r}\n")
     saia = default_map()
     saia.save(out_dir / "saia3_map.txt")
     summary["h_lower_root"] = integrators.find_h_lower()

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
+from scipy import fft as sp_fft
 
 __all__ = [
     "DiagnosticsError",
@@ -51,83 +51,112 @@ class DiagnosticsError(ValueError):
 
 ESS_METHODS = ("geyer", "ar")
 PSRF_STATISTICS = ("max", "avg")
+ESS_BLOCK_ROWS = 16     # series per univariate ESS call in diagnose
 
 
 # ---------------------------------------------------------------------------
 # Effective sample size
+#
+# The univariate estimators take an array of shape (..., n) and estimate along
+# the last axis, so a caller hands over a block of series at once; a 1-D input
+# gives a Python float.
+
+
+def _series_block(series: np.ndarray) -> np.ndarray:
+    """Series as a contiguous (S, n) block; at least 10 samples each."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim == 0 or x.shape[-1] < 10:
+        raise DiagnosticsError("need at least 10 samples")
+    return np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+
+
+def _per_series(values: np.ndarray, series: np.ndarray) -> float | np.ndarray:
+    """Estimates in the shape of the input minus its last axis."""
+    if np.ndim(series) == 1:
+        return float(values[0])
+    return values.reshape(np.shape(series)[:-1])
 
 
 def _autocovariance(x: np.ndarray) -> np.ndarray:
-    """Biased autocovariance via FFT, lags 0..n-1."""
-    n = x.size
-    xc = x - x.mean()
-    m = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(xc, m)
-    acov = np.fft.irfft(f * np.conj(f), m)[:n]
-    return acov / n
+    """Biased autocovariance of each row of an (S, n) block via FFT, lags 0..n-1.
+
+    Raises DiagnosticsError when a row is constant (zero lag-0 variance).
+    """
+    n = x.shape[-1]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    m = sp_fft.next_fast_len(2 * n - 1, real=True)
+    f = sp_fft.rfft(xc, m, axis=-1)
+    acov = sp_fft.irfft(f * np.conj(f), m, axis=-1)[:, :n] / n
+    if np.any(acov[:, 0] <= 0.0):
+        raise DiagnosticsError("constant series has undefined ESS")
+    return acov
 
 
-def ess_geyer(series: np.ndarray) -> float:
+def ess_geyer(series: np.ndarray) -> float | np.ndarray:
     """ESS with Geyer's initial-positive-sequence truncation.
 
     N / (1 + 2 sum rho_t) where the autocorrelation sum runs over the
     initial sequence of positive paired sums rho_{2m} + rho_{2m+1}.
     """
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    if n < 10:
-        raise DiagnosticsError("need at least 10 samples")
+    x = _series_block(series)
+    s, n = x.shape
     acov = _autocovariance(x)
-    if acov[0] <= 0.0:
-        raise DiagnosticsError("constant series has undefined ESS")
-    rho = acov / acov[0]
-    tau = -1.0
-    m = 0
-    while 2 * m + 1 < n:
-        paired = rho[2 * m] + rho[2 * m + 1]
-        if paired <= 0.0:
-            break
-        tau += 2.0 * paired
-        m += 1
-    return n / max(tau, 1e-3)
+    rho = acov / acov[:, :1]
+    pairs = n // 2                               # pairs with 2m + 1 < n
+    paired = rho[:, 0:2 * pairs:2] + rho[:, 1:2 * pairs:2]
+    nonpositive = paired <= 0.0
+    first = np.where(nonpositive.any(axis=1), nonpositive.argmax(axis=1), pairs)
+    # tau = -1 + 2 paired_0 + 2 paired_1 + ..., accumulated left to right
+    longest = first.max()
+    steps = np.empty((s, longest + 1))
+    steps[:, 0] = -1.0
+    steps[:, 1:] = 2.0 * paired[:, :longest]
+    tau = np.cumsum(steps, axis=1)[np.arange(s), first]
+    return _per_series(n / np.maximum(tau, 1e-3), series)
 
 
-def ess_ar_spectral(series: np.ndarray, max_order: Optional[int] = None) -> float:
+def ess_ar_spectral(series: np.ndarray) -> float | np.ndarray:
     """ESS from an AR(p) fit (Yule-Walker, AIC order selection).
 
     N var(x) / s(0), with s(0) = sigma_p^2 / (1 - sum a_i)^2 the fitted
-    spectral density at frequency zero.
+    spectral density at frequency zero.  One Levinson-Durbin recursion fits
+    orders 1..min(N-1, 10 log10 N) and their innovation variances sigma_p^2.
+    An order with sigma_p^2 <= 0 is skipped, and so is every higher one (the
+    autocovariance is then not positive definite at that order).  The AIC
+    minimum moves to an order even when |1 - sum a_i| < 1e-12 keeps s(0)
+    from being updated there.
     """
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    if n < 10:
-        raise DiagnosticsError("need at least 10 samples")
+    x = _series_block(series)
+    s, n = x.shape
     acov = _autocovariance(x)
-    if acov[0] <= 0.0:
-        raise DiagnosticsError("constant series has undefined ESS")
-    pmax = max_order if max_order is not None else int(min(n - 1, 10.0 * math.log10(n)))
-    best_aic = n * math.log(acov[0]) + 2.0
-    spec0 = acov[0]
+    r0 = acov[:, 0]
+    pmax = int(min(n - 1, 10.0 * math.log10(n)))
+    best_aic = n * np.log(r0) + 2.0
+    spec0 = r0.copy()
+    coefs = np.zeros((s, pmax))
+    sigma2 = r0.copy()
+    alive = np.ones(s, dtype=bool)
     for p in range(1, pmax + 1):
-        try:
-            coefs = solve_toeplitz(acov[:p], acov[1:p + 1])
-        except np.linalg.LinAlgError:
-            break
-        sigma2 = acov[0] - float(coefs @ acov[1:p + 1])
-        if sigma2 <= 0.0:
-            continue
-        aic = n * math.log(sigma2) + 2.0 * (p + 1)
-        if aic < best_aic:
-            best_aic = aic
-            denom = 1.0 - float(np.sum(coefs))
-            if abs(denom) < 1e-12:
-                continue
-            spec0 = sigma2 / denom ** 2
-    return n * acov[0] / spec0
+        prev = coefs[:, :p - 1]
+        lagged = np.einsum("sj,sj->s", prev, acov[:, p - 1:0:-1])
+        # rows that stopped keep kappa = 0, so their fit no longer changes
+        divisor = np.where(alive, sigma2, 1.0)
+        kappa = np.where(alive, (acov[:, p] - lagged) / divisor, 0.0)
+        coefs[:, :p - 1] = prev - kappa[:, None] * prev[:, ::-1]
+        coefs[:, p - 1] = kappa
+        sigma2 = sigma2 * (1.0 - kappa * kappa)
+        alive &= sigma2 > 0.0
+        aic = n * np.log(np.where(alive, sigma2, 1.0)) + 2.0 * (p + 1)
+        better = alive & (aic < best_aic)
+        best_aic = np.where(better, aic, best_aic)
+        denom = 1.0 - coefs[:, :p].sum(axis=1)
+        update = better & (np.abs(denom) >= 1e-12)
+        spec0 = np.where(update, sigma2 / np.where(update, denom, 1.0) ** 2, spec0)
+    return _per_series(n * r0 / spec0, series)
 
 
-def ess_univariate(series: np.ndarray, method: str = "geyer") -> float:
-    """Univariate ESS; ``method`` is "geyer" (default) or "ar"."""
+def ess_univariate(series: np.ndarray, method: str = "geyer") -> float | np.ndarray:
+    """Univariate ESS along the last axis; ``method`` is "geyer" (default) or "ar"."""
     if method == "geyer":
         return ess_geyer(series)
     if method == "ar":
@@ -190,7 +219,10 @@ def psrf(chains: np.ndarray) -> tuple[np.ndarray, float]:
     if n < 10:
         raise DiagnosticsError("PSRF needs at least 10 iterations")
     means = x.mean(axis=1)                      # (C, D)
-    variances = x.var(axis=1, ddof=1)           # (C, D)
+    variances = np.empty((c, d))                # one chain's deviations in memory at a time
+    for ch in range(c):
+        dev = x[ch] - means[ch]
+        variances[ch] = np.einsum("nd,nd->d", dev, dev) / (n - 1)
     w = variances.mean(axis=0)
     b_over_n = means.var(axis=0, ddof=1)
     sigma2 = (n - 1) / n * w + b_over_n
@@ -199,7 +231,7 @@ def psrf(chains: np.ndarray) -> tuple[np.ndarray, float]:
     # degrees-of-freedom correction (method of moments on V_hat)
     var_w = variances.var(axis=0, ddof=1) / c
     var_b = 2.0 * b_over_n ** 2 / (c - 1)
-    mu = x.mean(axis=(0, 1))
+    mu = means.mean(axis=0)
     cov_s_m2 = _chain_cov(variances, means ** 2, c)
     cov_s_m = _chain_cov(variances, means, c)
     cov_term = 2.0 * ((c + 1) * (n - 1) / (c * n)) * (cov_s_m2 - 2.0 * mu * cov_s_m) / c
@@ -354,6 +386,7 @@ class DiagnosticsReport:
     max_psrf_final: Optional[float] = None
     psrf_trajectory: list = field(default_factory=list)
     wall_seconds: Optional[float] = None
+    ess_exceeds_window: bool = False
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
@@ -380,12 +413,20 @@ class DiagnosticsReport:
 
 
 def _ess_by_dimension(samples: np.ndarray, upto: int, method: str) -> np.ndarray:
-    """Per-dimension ESS summed across chains over the prefix [0, upto)."""
+    """Per-dimension ESS summed across chains over the prefix [0, upto).
+
+    Each chain's prefix is transposed into one contiguous (D, upto) buffer
+    and estimated ESS_BLOCK_ROWS series at a time, which keeps the FFT
+    temporaries small.
+    """
     c, _, d = samples.shape
     out = np.zeros(d)
-    for dim in range(d):
-        for ch in range(c):
-            out[dim] += ess_univariate(samples[ch, :upto, dim], method)
+    series = np.empty((d, upto))
+    for ch in range(c):
+        series[...] = samples[ch, :upto, :].T
+        for lo in range(0, d, ESS_BLOCK_ROWS):
+            out[lo:lo + ESS_BLOCK_ROWS] += ess_univariate(
+                series[lo:lo + ESS_BLOCK_ROWS], method)
     return out
 
 
@@ -433,7 +474,8 @@ def diagnose(chain_set: ChainSet, threshold: float = 1.01,
     ess_min = float(per_dim_ess.min())
     ess_mean = float(per_dim_ess.mean())
     ess_multi = float(sum(multi_ess(samples[ch, :upto, :]) for ch in range(c)))
-    if ess_multi > 1.1 * c * upto or ess_mean > 1.1 * c * upto:
+    report.ess_exceeds_window = ess_multi > 1.1 * c * upto or ess_mean > 1.1 * c * upto
+    if report.ess_exceeds_window:
         warnings.warn("ESS exceeds 1.1 x chains x window; estimator noise or "
                       "antithetic sampling", RuntimeWarning)
     report.ess_min = ess_min

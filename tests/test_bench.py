@@ -258,6 +258,16 @@ class TestCommands:
         assert summary["stability"]["vv"] == pytest.approx(2.0, abs=1e-5)
         assert summary["h_lower_root"] == pytest.approx(2.0772, abs=1e-3)
 
+    def test_analyze_integrators_tables_are_numeric(self, tmp_path):
+        out = tmp_path / "analysis"
+        cmd_analyze_integrators(out, schemes=("vv", "bcss3"), n_grid=6)
+        energy = np.loadtxt(out / "energy_error_vs_h.csv", delimiter=",",
+                            skiprows=1, usecols=(1, 2, 3))
+        rho3 = np.loadtxt(out / "rho3_vs_h.csv", delimiter=",",
+                          skiprows=1, usecols=(1, 2, 3))
+        assert energy.shape == (12, 3) and np.all(energy[:, 0] > 0)
+        assert rho3.shape[1] == 3 and np.all(np.isfinite(rho3))
+
 
 class TestParseRule:
     def test_forms(self):
@@ -289,6 +299,14 @@ class TestCli:
                      "--out-dir", str(out)])
         assert code == 2
         assert "unknown integrator" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ghmc_without_phi_rule_exits_before_output(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code = main(["sample", "--benchmark", "gauss-5", "--integrator", "vv",
+                     "--dt-fixed", "0.1", "--out-dir", str(out)])
+        assert code == 2
+        assert "phi rule" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--psrf-statistic", "maxx"],

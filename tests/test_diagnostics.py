@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -219,6 +220,26 @@ class TestDiagnose:
         text = report.to_json()
         again = DiagnosticsReport.from_json(text)
         assert again.ess_mean == report.ess_mean
+
+    def test_ess_above_window_flagged(self):
+        # antithetic chains (x_{t+1} = -x_t + noise) have ESS far above N
+        x = _ar1(4 * 600, -0.9, np.random.default_rng(15), dims=2)
+        chains = x.reshape(4, 600, 2)
+        with pytest.warns(RuntimeWarning, match="ESS exceeds"):
+            report = diagnose(ChainSet(chains), window=300)
+        assert report.ess_exceeds_window is True
+        assert report.ess_mean > 1.1 * 4 * (report.n_conv + 300)
+        again = DiagnosticsReport.from_json(report.to_json())
+        assert again.ess_exceeds_window is True
+
+    def test_ess_flag_defaults_for_old_reports(self):
+        chains = _ar1(4 * 600, 0.5, np.random.default_rng(16), dims=2).reshape(4, 600, 2)
+        report = diagnose(ChainSet(chains), threshold=1.1, window=300)
+        assert report.ess_mean is not None
+        assert report.ess_exceeds_window is False
+        fields = json.loads(report.to_json())
+        del fields["ess_exceeds_window"]
+        assert DiagnosticsReport.from_json(json.dumps(fields)).ess_exceeds_window is False
 
     def test_unconverged_report_has_no_metrics(self):
         t = np.linspace(0.0, 5.0, 500)
