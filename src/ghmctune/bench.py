@@ -6,7 +6,8 @@ hyperparameters).  The command helpers mirror the CLI subcommands:
 
 * :func:`cmd_tune` runs the burn-in and writes the tuning report,
 * :func:`cmd_sample` runs seeded chains (optionally in parallel) and
-  persists samples, records and a manifest,
+  persists samples and records (``.npy`` by default, CSV as the text
+  export) and a manifest with timings, gradient counts and environment,
 * :func:`cmd_diagnose` computes convergence/efficiency metrics,
 * :func:`cmd_compare` builds relative-efficiency tables for two runs,
 * :func:`cmd_sensitivity` perturbs the lower end of the dimensionless step
@@ -29,12 +30,14 @@ import json
 import multiprocessing
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy
 
 from . import integrators
 from .diagnostics import (
@@ -88,6 +91,7 @@ __all__ = [
 ]
 
 _OUTPUT_ROOT_ENV = "GHMCTUNE_OUTPUT_ROOT"
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -127,7 +131,7 @@ class RunConfig:
     h_lower: float = H_LOWER
     standardize: bool = True
     prior_std: float = 10.0
-    binary_chains: bool = False
+    binary_chains: bool = True  # .npy chains and records; False writes CSV
     psrf_statistic: str = "max"
     psrf_threshold: float = 1.01
     window: Optional[int] = None
@@ -245,12 +249,15 @@ class RunArtifacts:
 _CHAIN_HEADER = "# ghmctune chain samples"
 _RECORD_FIELDS = ("accepted", "delta_h", "n_steps", "dt", "phi",
                   "grad_evals", "divergent")
+_RECORD_DTYPE = np.dtype([(name, getattr(ChainRecords.empty(0), name).dtype)
+                          for name in _RECORD_FIELDS])
 
 
 def _write_chain(path: Path, samples: np.ndarray, binary: bool) -> Path:
+    """Write one (n, D) chain as ``.npy`` or, as the text export, as CSV."""
     if binary:
-        path = path.with_suffix(".npz")
-        np.savez_compressed(path, samples=samples)
+        path = path.with_suffix(".npy")
+        np.save(path, samples, allow_pickle=False)
         return path
     path = path.with_suffix(".csv")
     with open(path, "w") as fh:
@@ -261,13 +268,24 @@ def _write_chain(path: Path, samples: np.ndarray, binary: bool) -> Path:
 
 
 def _read_chain(path: Path) -> np.ndarray:
-    if path.suffix == ".npz":
+    if path.suffix == ".npy":
+        return np.load(path, allow_pickle=False)
+    if path.suffix == ".npz":  # compressed chains of older run directories
         with np.load(path) as data:
             return data["samples"]
     return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
 
 
-def _write_records(path: Path, rec: ChainRecords) -> Path:
+def _write_records(path: Path, rec: ChainRecords, binary: bool) -> Path:
+    """Write one chain's records as a structured ``.npy`` array or as CSV."""
+    if binary:
+        path = path.with_suffix(".npy")
+        table = np.empty(len(rec), dtype=_RECORD_DTYPE)
+        for name in _RECORD_FIELDS:
+            table[name] = getattr(rec, name)
+        np.save(path, table, allow_pickle=False)
+        return path
+    path = path.with_suffix(".csv")
     with open(path, "w") as fh:
         fh.write(",".join(_RECORD_FIELDS) + "\n")
         for i in range(len(rec)):
@@ -278,17 +296,13 @@ def _write_records(path: Path, rec: ChainRecords) -> Path:
 
 
 def _read_records(path: Path) -> ChainRecords:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    return ChainRecords(
-        accepted=data["accepted"].astype(bool),
-        delta_h=np.asarray(data["delta_h"], dtype=float),
-        n_steps=data["n_steps"].astype(np.int64),
-        dt=np.asarray(data["dt"], dtype=float),
-        phi=np.asarray(data["phi"], dtype=float),
-        grad_evals=data["grad_evals"].astype(np.int64),
-        divergent=data["divergent"].astype(bool),
-    )
+    if path.suffix == ".npy":
+        table = np.load(path, allow_pickle=False)
+    else:
+        table = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    return ChainRecords(**{
+        name: np.ascontiguousarray(table[name], dtype=_RECORD_DTYPE[name])
+        for name in _RECORD_FIELDS})
 
 
 def load_chain_set(out_dir: str | Path) -> ChainSet:
@@ -436,15 +450,19 @@ def cmd_sample(config: RunConfig, report: Optional[TuningReport] = None,
     results.sort(key=lambda r: r[0])
     sampling_seconds = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     chains_dir = out / "chains"
     chains_dir.mkdir(exist_ok=True)
     chain_files, record_files = [], []
     for index, samples, records in results:
         cpath = _write_chain(chains_dir / f"chain_{index:03d}",
                              samples, config.binary_chains)
-        rpath = _write_records(chains_dir / f"records_{index:03d}.csv", records)
+        rpath = _write_records(chains_dir / f"records_{index:03d}",
+                               records, config.binary_chains)
         chain_files.append(str(cpath.relative_to(out)))
         record_files.append(str(rpath.relative_to(out)))
+    write_seconds = time.perf_counter() - t0
+    total_grads = sum(records.total_grads() for _, _, records in results)
 
     manifest = {
         "config": config.to_dict(),
@@ -455,10 +473,25 @@ def cmd_sample(config: RunConfig, report: Optional[TuningReport] = None,
         "chain_files": chain_files,
         "record_files": record_files,
         "tuning_report": "tuning_report.json" if report_path else None,
-        "timings": {"sampling_seconds": sampling_seconds},
+        "timings": {"sampling_seconds": sampling_seconds,
+                    "write_seconds": write_seconds},
+        "total_grads": total_grads,
+        "grads_per_second": total_grads / sampling_seconds,
+        "environment": _environment(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
     return RunArtifacts(out, manifest, chain_files, record_files, report_path)
+
+
+def _environment() -> dict:
+    """Library versions and thread settings that a run's timings depend on."""
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "threads": {name: os.environ.get(name) for name in _THREAD_VARS},
+    }
 
 
 def cmd_diagnose(out_dir: str | Path, statistic: Optional[str] = None,

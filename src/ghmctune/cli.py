@@ -73,8 +73,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="refresh noise interval 'lo,hi'")
     parser.add_argument("--no-standardize", action="store_true",
                         help="skip covariate standardization for BLR data")
-    parser.add_argument("--binary-chains", action="store_true",
-                        help="store chains as compressed binary")
+    parser.add_argument("--text-chains", action="store_true",
+                        help="write chains and records as CSV text instead "
+                             "of .npy")
     parser.add_argument("--config", type=str,
                         help="JSON config file; its values override flags")
 
@@ -108,8 +109,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         data["phi_interval"] = _pair(args.phi_interval)
     if args.no_standardize:
         data["standardize"] = False
-    if args.binary_chains:
-        data["binary_chains"] = True
+    if args.text_chains:
+        data["binary_chains"] = False
     if args.config:
         file_values = json.loads(Path(args.config).read_text())
         data.update(file_values)

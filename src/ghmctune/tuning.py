@@ -71,6 +71,7 @@ __all__ = [
 _PHI_LOG_ALPHA = -math.log(0.999)
 
 _AR_TARGET_DEFAULT = 0.95
+_AR_WINDOW = 40  # burn-in iterations in the step size's acceptance estimate
 
 
 class TuningError(RuntimeError):
@@ -141,15 +142,14 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
                target_ar: float = _AR_TARGET_DEFAULT,
                collect_freq: bool = False,
                seed: int = 0,
-               dt0: Optional[float] = None,
-               gain: float = 1.0,
-               ar_window: int = 40,
                initial_theta: Optional[np.ndarray] = None,
                saia_map: Optional[SAIA3Map] = None,
                h_lower: float = H_LOWER):
     """Run the adaptation burn-in and collect tuning statistics.
 
-    One-stage velocity Verlet with L = 1 throughout; in GHMC mode the
+    One-stage velocity Verlet with L = 1 throughout, starting from the step
+    1/sqrt(D) and adapting it to the acceptance rate of the last
+    ``_AR_WINDOW`` iterations with gain 1/sqrt(t); in GHMC mode the
     momentum refresh noise is drawn from the dimension-derived interval (it
     needs nothing besides D, so it is available before the burn-in starts).
     The acceptance rate and mean |dH| are measured over the second half of
@@ -166,8 +166,6 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
     if n_burnin < 100:
         raise ValueError("burn-in needs at least 100 iterations")
     d = model.dimension
-    if dt0 is None:
-        dt0 = 1.0 / math.sqrt(d)
     if mode == "ghmc":
         lo, hi = phi_interval(d, saia_map or default_map(), h_lower=h_lower)
         phi_rule = UniformInterval(lo, hi)
@@ -176,7 +174,7 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
     else:
         raise ValueError("mode must be 'hmc' or 'ghmc'")
 
-    dt = float(dt0)
+    dt = 1.0 / math.sqrt(d)
     # the loop passes its adapted dt to every iteration; dt_rule is unused
     config = SamplerConfig(
         mode=mode,
@@ -204,10 +202,10 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
             window.clear()
             continue
         window.append(1.0 if records.accepted[t - 1] else 0.0)
-        if len(window) > ar_window:
+        if len(window) > _AR_WINDOW:
             window.pop(0)
         dt = adapt_step_size(float(np.mean(window)), dt, target_ar,
-                             gain / math.sqrt(t))
+                             1.0 / math.sqrt(t))
 
     half = n_burnin // 2
     ar = float(np.mean(records.accepted[half:]))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,44 @@ class TestBenchmarks:
             resolve_benchmark(_small_config(tmp_path, benchmark="funnel-9"))
 
 
+EDGE_CHAINS = pytest.mark.parametrize("samples", [
+    np.array([[-0.0, 5e-324, 1e300, -1e-17],
+              [1.0 / 3.0, -2.5, 0.1, 123456789.0]]),
+    np.array([[-0.0, 5e-324, 1e300, -1e-17]]),      # one row
+    np.array([[-0.0], [5e-324], [1e300], [-1e-17]]),  # D = 1
+    np.random.default_rng(2).standard_normal((30, 7)),
+], ids=["edge-values", "one-row", "one-column", "normal"])
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(ChainRecords))
+
+
+def _records_with_every_value():
+    rec = ChainRecords.empty(5)
+    rec.accepted[:] = [True, False, True, True, False]
+    rec.delta_h[:] = [0.1, 2.0, -0.3, -0.0, np.inf]
+    rec.n_steps[:] = [1, 5, 7, 2, 5]
+    rec.dt[:] = [0.123456789, 5e-324, 1e300, 0.1, 1.0 / 3.0]
+    rec.phi[:] = 0.25
+    rec.grad_evals[:] = rec.n_steps * 3
+    rec.divergent[:] = [False, False, False, False, True]
+    return rec
+
+
+def _record_sets_identical(a, b):
+    for rec_a, rec_b in zip(a, b, strict=True):
+        for name in RECORD_FIELDS:
+            x, y = getattr(rec_a, name), getattr(rec_b, name)
+            if x.dtype != y.dtype or x.tobytes() != y.tobytes():
+                return False
+    return True
+
+
+def _run_files(out_dir):
+    manifest = json.loads((Path(out_dir) / "manifest.json").read_text())
+    return manifest["chain_files"] + manifest["record_files"]
+
+
 class TestPersistence:
     def test_chain_text_round_trip(self, tmp_path):
         samples = np.random.default_rng(0).standard_normal((40, 3))
@@ -108,15 +147,17 @@ class TestPersistence:
     def test_chain_binary_round_trip(self, tmp_path):
         samples = np.random.default_rng(1).standard_normal((40, 3))
         path = _write_chain(tmp_path / "chain_000", samples, binary=True)
+        assert path.name == "chain_000.npy"
         assert np.array_equal(_read_chain(path), samples)
 
-    @pytest.mark.parametrize("samples", [
-        np.array([[-0.0, 5e-324, 1e300, -1e-17],
-                  [1.0 / 3.0, -2.5, 0.1, 123456789.0]]),
-        np.array([[-0.0, 5e-324, 1e300, -1e-17]]),      # one row
-        np.array([[-0.0], [5e-324], [1e300], [-1e-17]]),  # D = 1
-        np.random.default_rng(2).standard_normal((30, 7)),
-    ], ids=["edge-values", "one-row", "one-column", "normal"])
+    @EDGE_CHAINS
+    def test_npy_chain_round_trip_bit_exact(self, tmp_path, samples):
+        path = _write_chain(tmp_path / "chain_000", samples, binary=True)
+        back = _read_chain(path)
+        assert back.shape == samples.shape and back.dtype == np.float64
+        assert back.tobytes() == samples.tobytes()
+
+    @EDGE_CHAINS
     def test_text_chain_io_matches_loop_code(self, tmp_path, samples):
         def write_loop(path):
             with open(path, "w") as fh:
@@ -150,12 +191,34 @@ class TestPersistence:
         rec.phi[:] = 0.25
         rec.grad_evals[:] = rec.n_steps * 3
         rec.divergent[:] = [False, False, False, False, True]
-        path = _write_records(tmp_path / "records_000.csv", rec)
+        path = _write_records(tmp_path / "records_000", rec, binary=False)
+        assert path.name == "records_000.csv"
         back = _read_records(path)
         assert np.array_equal(back.accepted, rec.accepted)
         assert np.array_equal(back.delta_h, rec.delta_h)
         assert np.array_equal(back.grad_evals, rec.grad_evals)
         assert np.array_equal(back.divergent, rec.divergent)
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["npy", "csv"])
+    def test_records_round_trip_bit_exact(self, tmp_path, binary):
+        rec = _records_with_every_value()
+        path = _write_records(tmp_path / "records_000", rec, binary=binary)
+        assert path.suffix == (".npy" if binary else ".csv")
+        back = _read_records(path)
+        assert _record_sets_identical([back], [rec])
+        for name in RECORD_FIELDS:
+            column = getattr(back, name)
+            assert column.flags.c_contiguous and column.flags.owndata
+
+    def test_npy_records_are_one_structured_array(self, tmp_path):
+        path = _write_records(tmp_path / "records_000",
+                              _records_with_every_value(), binary=True)
+        table = np.load(path, allow_pickle=False)
+        assert table.shape == (5,)
+        assert [(name, table.dtype[name].str) for name in table.dtype.names] == [
+            ("accepted", "|b1"), ("delta_h", "<f8"), ("n_steps", "<i8"),
+            ("dt", "<f8"), ("phi", "<f8"), ("grad_evals", "<i8"),
+            ("divergent", "|b1")]
 
 
 class TestCommands:
@@ -176,7 +239,9 @@ class TestCommands:
         config_b = RunConfig(**{**config_a.to_dict(), "out_dir": str(tmp_path / "b")})
         cmd_sample(config_a)
         cmd_sample(config_b)
-        for name in ("chains/chain_000.csv", "chains/chain_001.csv"):
+        names = _run_files(config_a.out_dir)
+        assert len(names) == 4 and names == _run_files(config_b.out_dir)
+        for name in names:
             assert (Path(config_a.out_dir) / name).read_bytes() == \
                    (Path(config_b.out_dir) / name).read_bytes()
 
@@ -186,10 +251,67 @@ class TestCommands:
         config_b = RunConfig(**{**config_a.to_dict(), "out_dir": str(tmp_path / "w4")})
         cmd_sample(config_a, workers=1)
         cmd_sample(config_b, workers=4)
-        for i in range(4):
-            name = f"chains/chain_{i:03d}.csv"
+        names = _run_files(config_a.out_dir)
+        assert len(names) == 8 and names == _run_files(config_b.out_dir)
+        for name in names:
             assert (Path(config_a.out_dir) / name).read_bytes() == \
                    (Path(config_b.out_dir) / name).read_bytes()
+
+    def test_text_export_matches_default_run(self, tmp_path):
+        config_npy = _small_config(tmp_path, out_dir=str(tmp_path / "npy"))
+        config_csv = replace(config_npy, out_dir=str(tmp_path / "csv"),
+                             binary_chains=False)
+        cmd_sample(config_npy)
+        cmd_sample(config_csv)
+        assert [Path(p).suffix for p in _run_files(config_npy.out_dir)] == [".npy"] * 4
+        assert [Path(p).suffix for p in _run_files(config_csv.out_dir)] == [".csv"] * 4
+        set_npy = load_chain_set(config_npy.out_dir)
+        set_csv = load_chain_set(config_csv.out_dir)
+        assert set_npy.samples.tobytes() == set_csv.samples.tobytes()
+        assert _record_sets_identical(set_npy.records, set_csv.records)
+        rep_npy = asdict(cmd_diagnose(config_npy.out_dir, window=100))
+        rep_csv = asdict(cmd_diagnose(config_csv.out_dir, window=100))
+        for rep in (rep_npy, rep_csv):
+            rep.pop("wall_seconds")  # each run's own sampling time
+        assert json.dumps(rep_npy, sort_keys=True) == json.dumps(rep_csv, sort_keys=True)
+
+    def test_legacy_npz_run_still_diagnoses(self, tmp_path):
+        config = _small_config(tmp_path, binary_chains=False)
+        cmd_sample(config)
+        want = load_chain_set(config.out_dir)
+        # rewrite the chains the way compressed binary runs used to be stored
+        out = Path(config.out_dir)
+        manifest = json.loads((out / "manifest.json").read_text())
+        for i, name in enumerate(manifest["chain_files"]):
+            npz = Path(name).with_suffix(".npz")
+            np.savez_compressed(out / npz, samples=want.samples[i])
+            (out / name).unlink()
+            manifest["chain_files"][i] = str(npz)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        got = load_chain_set(out)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert cmd_diagnose(out, window=100).n_chains == 2
+        assert all(v is None or v == pytest.approx(1.0)
+                   for v in cmd_compare(out, out).values())
+
+    def test_manifest_telemetry(self, tmp_path):
+        config = _small_config(tmp_path)
+        manifest = cmd_sample(config).manifest
+        records = load_chain_set(config.out_dir).records
+        assert manifest["total_grads"] == sum(int(r.grad_evals.sum())
+                                              for r in records)
+        assert manifest["total_grads"] > 0
+        timings = manifest["timings"]
+        assert timings["sampling_seconds"] > 0 and timings["write_seconds"] > 0
+        assert manifest["grads_per_second"] == pytest.approx(
+            manifest["total_grads"] / timings["sampling_seconds"])
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__
+        assert set(env) == {"python", "numpy", "scipy", "cpu_count", "threads"}
+        assert set(env["threads"]) == {"OMP_NUM_THREADS",
+                                       "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+        on_disk = json.loads((Path(config.out_dir) / "manifest.json").read_text())
+        assert on_disk == manifest
 
     def test_load_chain_set(self, tmp_path):
         config = _small_config(tmp_path)
@@ -332,6 +454,22 @@ class TestCli:
         assert code == 0
         code = main(["diagnose", str(out), "--window", "50"])
         assert code == 0
+
+    def test_text_chains_flag(self, tmp_path):
+        base = ["sample", "--benchmark", "gauss-4", "--mode", "hmc",
+                "--integrator", "vv", "--dt-fixed", "0.3", "--l-fixed", "2",
+                "--n-prod", "150", "--n-chains", "2", "--seed", "1"]
+        text, default = tmp_path / "text", tmp_path / "default"
+        assert main(base + ["--out-dir", str(text), "--text-chains"]) == 0
+        assert main(base + ["--out-dir", str(default)]) == 0
+        for out, suffix in ((text, ".csv"), (default, ".npy")):
+            for stem in ("chain_000", "records_000", "chain_001", "records_001"):
+                assert (out / "chains" / f"{stem}{suffix}").exists()
+            assert main(["diagnose", str(out), "--window", "50"]) == 0
+        manifest = json.loads((text / "manifest.json").read_text())
+        assert manifest["config"]["binary_chains"] is False
+        assert load_chain_set(text).samples.tobytes() == \
+            load_chain_set(default).samples.tobytes()
 
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
