@@ -10,7 +10,6 @@ the last section demonstrates across model sizes.
 import numpy as np
 
 from ghmctune.models import gaussian_model, gen_wishart_precision
-from ghmctune.saia import default_map
 from ghmctune.samplers import run_chain
 from ghmctune.tuning import atune, phi_interval
 
@@ -66,9 +65,8 @@ print("the slowest mode carries few effective samples at this chain length;"
       "\nits variance estimate tightens only with far longer runs")
 
 print("\n=== the refresh-noise interval only needs the dimension ===")
-saia = default_map()
 print(f"{'D':>6} {'phi_lower':>12} {'phi_upper':>12} {'lower*D':>9} {'upper*D':>9}")
 for d in (2, 25, 100, 500, 1000, 2000):
-    lo, hi = phi_interval(d, saia)
+    lo, hi = phi_interval(d)
     print(f"{d:>6} {lo:>12.6f} {hi:>12.6f} {lo * d:>9.4f} {hi * d:>9.4f}")
 print("the products are pipeline constants unless an endpoint clips at 1")

@@ -62,7 +62,6 @@ from .models import (
 )
 from .saia import default_map
 from .samplers import (
-    AdaptiveScheme,
     ChainRecords,
     DiscreteSet,
     Fixed,
@@ -70,6 +69,7 @@ from .samplers import (
     UniformInterval,
     UniformIntRange,
     chain_rng,
+    check_rule,
     run_chain,
 )
 from .tuning import TuningReport, atune, config_from_report
@@ -174,6 +174,7 @@ class RunConfig:
             val = getattr(self, tpl_field)
             if val is not None:
                 object.__setattr__(self, tpl_field, tuple(val))
+        _override_rules(self)  # range-check the overrides before any output
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -318,53 +319,56 @@ def load_chain_set(out_dir: str | Path) -> ChainSet:
 # Sampler-config assembly and chain workers
 
 
+# Draw rule of each override field, keyed by the quantity it draws.
+_OVERRIDE_RULES = {
+    "dt_fixed": ("dt", Fixed),
+    "dt_interval": ("dt", lambda v: UniformInterval(*v)),
+    "l_fixed": ("l", Fixed),
+    "l_range": ("l", lambda v: UniformIntRange(int(v[0]), int(v[1]))),
+    "l_choices": ("l", DiscreteSet),
+    "phi_fixed": ("phi", Fixed),
+    "phi_interval": ("phi", lambda v: UniformInterval(*v)),
+}
+
+
+def _override_rules(config: RunConfig) -> dict:
+    """Draw rules of the set overrides, keyed "dt", "l" or "phi"; checked."""
+    rules = {}
+    for name, (quantity, build) in _OVERRIDE_RULES.items():
+        value = getattr(config, name)
+        if value is None:
+            continue
+        try:
+            rules[quantity] = build(value)
+            check_rule(quantity, rules[quantity])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}={value!r}: {exc}") from exc
+    return rules
+
+
 def _build_sampler_config(config: RunConfig,
                           report: Optional[TuningReport]) -> SamplerConfig:
-    saia_map = default_map()
-    base = config_from_report(report, seed=config.seed) if report else None
+    """The tuned settings with the overrides of ``config`` on top.
 
-    if config.dt_fixed is not None:
-        dt_rule = Fixed(config.dt_fixed)
-    elif config.dt_interval is not None:
-        dt_rule = UniformInterval(*config.dt_interval)
-    elif base is not None:
-        dt_rule = base.dt_rule
+    ``cmd_sample`` tunes whenever the overrides leave the step size or the
+    scheme to a report, so without a report both are overridden.
+    """
+    if report is None:
+        rules, scheme = {"l": Fixed(1)}, build_scheme(config.integrator)
     else:
-        raise ConfigError("no step size available: tune first or override dt")
-
-    if config.l_fixed is not None:
-        l_rule = Fixed(config.l_fixed)
-    elif config.l_range is not None:
-        l_rule = UniformIntRange(int(config.l_range[0]), int(config.l_range[1]))
-    elif config.l_choices is not None:
-        l_rule = DiscreteSet(tuple(int(v) for v in config.l_choices))
-    elif base is not None:
-        l_rule = base.l_rule
-    else:
-        l_rule = Fixed(1)
-
+        base = config_from_report(report)
+        rules = {"dt": base.dt_rule, "l": base.l_rule, "phi": base.phi_rule}
+        scheme = base.scheme
+        if config.integrator not in (None, "saia3"):
+            scheme = build_scheme(config.integrator)
+    rules.update(_override_rules(config))
     if config.mode == "hmc":
-        phi_rule = Fixed(1.0)
-    elif config.phi_fixed is not None:
-        phi_rule = Fixed(config.phi_fixed)
-    elif config.phi_interval is not None:
-        phi_rule = UniformInterval(*config.phi_interval)
-    elif base is not None:
-        phi_rule = base.phi_rule
-    else:
+        rules["phi"] = Fixed(1.0)
+    elif "phi" not in rules:
         raise ConfigError("GHMC needs a phi rule: tune first or override phi")
-
-    if config.integrator is not None and config.integrator != "saia3":
-        scheme = build_scheme(config.integrator)
-    elif report is not None:
-        scheme = AdaptiveScheme(report.cf, saia_map)
-    elif config.integrator == "saia3":
-        raise ConfigError("saia3 without a tuning report has no CF; tune first")
-    else:
-        scheme = build_scheme("vv")
-
-    return SamplerConfig(mode=config.mode, dt_rule=dt_rule, l_rule=l_rule,
-                         phi_rule=phi_rule, scheme=scheme, seed=config.seed)
+    return SamplerConfig(mode=config.mode, dt_rule=rules["dt"],
+                         l_rule=rules["l"], phi_rule=rules["phi"],
+                         scheme=scheme, seed=config.seed)
 
 
 def _warm_init(config: RunConfig, chain_index: int) -> np.ndarray:
@@ -423,15 +427,14 @@ def cmd_sample(config: RunConfig, report: Optional[TuningReport] = None,
                workers: int = 1) -> RunArtifacts:
     """Run the production chains and persist samples, records and manifest.
 
-    Tunes inline when no report is supplied and the step size is not fully
-    overridden.  Chains execute in parallel across ``workers`` processes;
-    results do not depend on the worker count.
+    Tunes inline when no report is supplied and the overrides leave the step
+    size or the scheme to one.  Chains execute in parallel across ``workers``
+    processes; results do not depend on the worker count.
     """
     out = config.resolved_out_dir()
     report_path = None
-    needs_tuning = report is None and (config.dt_fixed is None
-                                       and config.dt_interval is None)
-    if needs_tuning or (report is None and config.integrator in (None, "saia3")):
+    if report is None and (config.dt_fixed is None and config.dt_interval is None
+                           or config.integrator in (None, "saia3")):
         report = cmd_tune(config, out_dir=out)
         report_path = out / "tuning_report.json"
     # without inline tuning, an invalid run is rejected before its directory exists
@@ -577,7 +580,7 @@ def cmd_sensitivity(config: RunConfig, deltas: Sequence[float] = (-0.05, 0.0, 0.
         if not 0.0 < perturbed < 3.0:
             raise ConfigError(f"delta {delta} pushes h_lower outside (0, 3)")
         sub = RunConfig(**{**config.to_dict(),
-                           "h_lower": config.h_lower * (1.0 + delta),
+                           "h_lower": perturbed,
                            "out_dir": str(base_out / f"hlower{delta:+.3f}")})
         cmd_sample(sub, workers=workers)
         rep = cmd_diagnose(sub.resolved_out_dir())

@@ -80,11 +80,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON config file; its values override flags")
 
 
-def _pair(text):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"expected 'lo,hi', got '{text}'")
-    return tuple(parts)
+def _numbers(flag: str, text: str, convert=float, count=None) -> tuple:
+    """The comma-separated numbers of ``flag``, ``count`` of them if given."""
+    try:
+        values = tuple(convert(float(v)) for v in text.split(","))
+    except (ValueError, OverflowError):
+        values = ()
+    if not values or count not in (None, len(values)):
+        raise ConfigError(f"{flag} expects {count or 'some'} comma-separated "
+                          f"numbers, got '{text}'")
+    return values
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -95,28 +100,36 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             data[key] = value
     if args.dt_interval:
-        data["dt_interval"] = _pair(args.dt_interval)
+        data["dt_interval"] = _numbers("--dt-interval", args.dt_interval, count=2)
     if args.l_fixed is not None:
         data["l_fixed"] = args.l_fixed
     if args.l_range:
-        lo, hi = _pair(args.l_range)
-        data["l_range"] = (int(lo), int(hi))
+        data["l_range"] = _numbers("--l-range", args.l_range, int, 2)
     if args.l_choices:
-        data["l_choices"] = tuple(int(float(v)) for v in args.l_choices.split(","))
+        data["l_choices"] = _numbers("--l-choices", args.l_choices, int)
     if args.phi_fixed is not None:
         data["phi_fixed"] = args.phi_fixed
     if args.phi_interval:
-        data["phi_interval"] = _pair(args.phi_interval)
+        data["phi_interval"] = _numbers("--phi-interval", args.phi_interval,
+                                        count=2)
     if args.no_standardize:
         data["standardize"] = False
     if args.text_chains:
         data["binary_chains"] = False
     if args.config:
-        file_values = json.loads(Path(args.config).read_text())
+        try:
+            file_values = json.loads(Path(args.config).read_text())
+        except ValueError as exc:  # malformed JSON
+            raise ConfigError(f"--config {args.config}: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"--config {args.config}: not a JSON object")
         data.update(file_values)
     if "benchmark" not in data:
         raise ConfigError("a benchmark must be given (flag or config file)")
-    return RunConfig(**data)
+    try:
+        return RunConfig(**data)
+    except TypeError as exc:  # an unknown key or a value of the wrong type
+        raise ConfigError(f"invalid run configuration: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +208,7 @@ def main(argv=None) -> int:
                                 time_normalized=args.time_normalized)
             print(json.dumps(table, sort_keys=True, indent=1))
         elif args.command == "sensitivity":
-            deltas = [float(v) for v in args.deltas.split(",")]
+            deltas = _numbers("--deltas", args.deltas)
             rows = cmd_sensitivity(_config_from_args(args), deltas,
                                    workers=args.workers)
             print(json.dumps(rows, sort_keys=True, indent=1))

@@ -52,6 +52,8 @@ class DiagnosticsError(ValueError):
 ESS_METHODS = ("geyer", "ar")
 PSRF_STATISTICS = ("max", "avg")
 ESS_BLOCK_ROWS = 16     # series per univariate ESS call in diagnose
+_SCAN_MIN_N = 50        # first PSRF checkpoint
+_SCAN_RATIO = 1.2       # growth of the PSRF checkpoints
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +254,10 @@ def _chain_cov(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
     return (am * bm).sum(axis=0) / (c - 1)
 
 
-def _psrf_scan(chains: np.ndarray, statistic: str, ratio: float = 1.2,
-               min_n: int = 50):
+def _psrf_scan(chains: np.ndarray, statistic: str):
     """PSRF over prefixes on a geometric checkpoint grid.
 
-    Checkpoints start at max(min_n, 10), grow by ``ratio`` (rounded up) and
+    Checkpoints grow from ``_SCAN_MIN_N`` by ``_SCAN_RATIO``, rounded up, and
     end with the full length.  Yields (m, max_psrf, avg_psrf, stat) per
     checkpoint m, with ``stat`` the max or avg value named by ``statistic``.
     """
@@ -267,7 +268,7 @@ def _psrf_scan(chains: np.ndarray, statistic: str, ratio: float = 1.2,
     if x.ndim == 2:
         x = x[:, :, None]
     n = x.shape[1]
-    m = max(min_n, 10)
+    m = _SCAN_MIN_N
     while True:
         m = min(m, n)
         per_dim, top = psrf(x[:, :m, :])
@@ -275,20 +276,19 @@ def _psrf_scan(chains: np.ndarray, statistic: str, ratio: float = 1.2,
         yield m, top, avg, (top if statistic == "max" else avg)
         if m == n:
             return
-        m = int(math.ceil(m * ratio))
+        m = int(math.ceil(m * _SCAN_RATIO))
 
 
 def find_n_conv(chains: np.ndarray, threshold: float = 1.01,
-                statistic: str = "max", ratio: float = 1.2,
-                min_n: int = 50) -> Optional[int]:
+                statistic: str = "max") -> Optional[int]:
     """Smallest prefix length with the PSRF statistic below threshold.
 
-    Prefixes are scanned on a geometric checkpoint grid (ratio 1.2 by
-    default, the full length always included); ``statistic`` is "max" or
+    Prefixes are scanned on a geometric checkpoint grid (ratio 1.2 from 50,
+    the full length always included); ``statistic`` is "max" or
     "avg" over dimensions.  Returns None when no checkpoint satisfies the
     threshold.
     """
-    return next((m for m, _, _, stat in _psrf_scan(chains, statistic, ratio, min_n)
+    return next((m for m, _, _, stat in _psrf_scan(chains, statistic)
                  if stat < threshold), None)
 
 

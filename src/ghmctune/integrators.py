@@ -60,7 +60,6 @@ __all__ = [
     "lambda_k",
     "stability_interval",
     "vv_ratio_roots",
-    "apply_step",
     "apply_leg",
 ]
 
@@ -491,34 +490,10 @@ def vv_ratio_roots(k: int) -> list[float]:
 # Applying a scheme to a model
 
 
-def apply_step(scheme: SplittingScheme, model, theta: np.ndarray, p: np.ndarray,
-               dt: float, mass_diag: np.ndarray | None = None,
-               grad: np.ndarray | None = None):
-    """Advance (theta, p) by one integration step of length dt.
-
-    Args:
-        scheme: Splitting scheme to apply.
-        model: Target model providing ``gradient``.
-        theta, p: Current state (not modified).
-        dt: Dimensional step size.
-        mass_diag: Diagonal of the mass matrix; identity when ``None``.
-        grad: Cached gradient at ``theta``; passing it merges the leading
-            end-kick with the previous step so the step charges exactly
-            ``scheme.stages`` fresh gradient evaluations.
-
-    Returns:
-        (theta, p, grad, n_evals) with ``grad`` the gradient at the new theta
-        (reusable by the next step) and ``n_evals`` the fresh evaluations.
-    """
-    return apply_leg(scheme.kicks, scheme.drifts, model, theta, p, dt, 1,
-                     mass_diag, grad)
-
-
 def apply_leg(kicks: tuple, drifts: tuple, model, theta: np.ndarray,
               p: np.ndarray, dt: float, n_steps: int,
-              mass_diag: np.ndarray | None = None,
               grad: np.ndarray | None = None):
-    """Integrate n_steps steps, merging end-kicks between consecutive steps.
+    """Integrate n_steps unit-mass steps, merging end-kicks between steps.
 
     Args:
         kicks, drifts: Coefficients of one step, as in ``SplittingScheme``
@@ -528,12 +503,13 @@ def apply_leg(kicks: tuple, drifts: tuple, model, theta: np.ndarray,
         theta, p: Current state (not modified; copied once for the leg).
         dt: Dimensional step size.
         n_steps: Number of steps.
-        mass_diag: Diagonal of the mass matrix; identity when ``None``.
         grad: Cached gradient at ``theta``; with it the leg charges exactly
-            ``n_steps * len(drifts)`` fresh gradient evaluations.
+            ``n_steps * len(drifts)`` fresh gradient evaluations, without it
+            one more.
 
     Returns:
-        (theta, p, grad, n_evals) as for ``apply_step``.
+        (theta, p, grad, n_evals) with ``grad`` the gradient at the new theta
+        and ``n_evals`` the fresh gradient evaluations.
     """
     gradient = model.gradient
     n_evals = 0
@@ -542,13 +518,12 @@ def apply_leg(kicks: tuple, drifts: tuple, model, theta: np.ndarray,
         n_evals += 1
     theta = np.array(theta, dtype=float)
     p = np.array(p, dtype=float)
-    inv_mass = None if mass_diag is None else 1.0 / mass_diag
     first_kick = kicks[0] * dt
     stages = [(a * dt, b * dt) for a, b in zip(drifts, kicks[1:])]
     for _ in range(n_steps):
         p -= first_kick * grad
         for drift, kick in stages:
-            theta += drift * (p if inv_mass is None else inv_mass * p)
+            theta += drift * p
             grad = gradient(theta)
             p -= kick * grad
     return theta, p, grad, n_evals + n_steps * len(drifts)

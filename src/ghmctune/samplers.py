@@ -46,6 +46,7 @@ __all__ = [
     "ChainState",
     "ChainRecords",
     "chain_rng",
+    "check_rule",
     "partial_momentum_update",
     "metropolis_accept",
     "ghmc_iteration",
@@ -175,7 +176,6 @@ class SamplerConfig:
             Fixed(1.0) in HMC mode.
         scheme: A ``SplittingScheme`` or an ``AdaptiveScheme``, or any
             object with a ``step_coefficients(dt)`` method and ``stages``.
-        mass_diag: Diagonal of the mass matrix (identity when None).
         seed: Root seed; chains split private streams off it.
     """
 
@@ -184,7 +184,6 @@ class SamplerConfig:
     l_rule: Union[Fixed, UniformIntRange, DiscreteSet]
     phi_rule: Union[Fixed, UniformInterval, None] = None
     scheme: object = None
-    mass_diag: Optional[np.ndarray] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -197,24 +196,26 @@ class SamplerConfig:
                 object.__setattr__(self, "phi_rule", Fixed(1.0))
             elif not (isinstance(self.phi_rule, Fixed) and self.phi_rule.value == 1.0):
                 raise ValueError("HMC requires phi fixed to 1")
-        else:
-            if self.phi_rule is None:
-                raise ValueError("GHMC requires a phi rule")
-        _validate_phi_rule(self.phi_rule)
-        if isinstance(self.l_rule, Fixed) and self.l_rule.value < 1:
-            raise ValueError("L must be at least 1")
-        if self.mass_diag is not None:
-            m = np.asarray(self.mass_diag, dtype=float)
-            if np.any(m <= 0):
-                raise ValueError("mass matrix diagonal must be positive")
-            object.__setattr__(self, "mass_diag", m)
+        elif self.phi_rule is None:
+            raise ValueError("GHMC requires a phi rule")
+        for quantity in ("dt", "l", "phi"):
+            check_rule(quantity, getattr(self, f"{quantity}_rule"))
 
 
-def _validate_phi_rule(rule):
-    if isinstance(rule, Fixed) and not 0.0 < rule.value <= 1.0:
-        raise ValueError("phi must lie in (0, 1]")
-    if isinstance(rule, UniformInterval) and rule.upper > 1.0:
-        raise ValueError("phi interval must be contained in (0, 1]")
+def check_rule(quantity: str, rule) -> None:
+    """Raise ValueError if ``rule`` can draw an invalid "dt", "l" or "phi".
+
+    Interval and set rules check their own bounds when built.
+    """
+    if quantity == "dt" and isinstance(rule, Fixed) and not rule.value > 0.0:
+        raise ValueError("step size must be positive")
+    if quantity == "l" and isinstance(rule, Fixed) and rule.value < 1:
+        raise ValueError("L must be at least 1")
+    if quantity == "phi":
+        if isinstance(rule, Fixed) and not 0.0 < rule.value <= 1.0:
+            raise ValueError("phi must lie in (0, 1]")
+        if isinstance(rule, UniformInterval) and rule.upper > 1.0:
+            raise ValueError("phi interval must be contained in (0, 1]")
 
 
 @dataclass
@@ -279,19 +280,16 @@ def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
 
 
 def partial_momentum_update(p: np.ndarray, phi: float,
-                            mass_diag: Optional[np.ndarray],
                             rng: np.random.Generator) -> np.ndarray:
     """Mix the momentum with fresh Gaussian noise.
 
-    p' = sqrt(1 - phi) p + sqrt(phi) u with u ~ N(0, M).  phi = 1 discards
+    p' = sqrt(1 - phi) p + sqrt(phi) u with u ~ N(0, I).  phi = 1 discards
     the old momentum entirely (standard HMC refresh); the orthogonal mixing
-    leaves N(0, M) invariant for any phi in (0, 1].
+    leaves N(0, I) invariant for any phi in (0, 1].
     """
     if not 0.0 < phi <= 1.0:
         raise ValueError(f"phi must lie in (0, 1], got {phi}")
     u = rng.standard_normal(p.shape)
-    if mass_diag is not None:
-        u = u * np.sqrt(mass_diag)
     return math.sqrt(1.0 - phi) * p + math.sqrt(phi) * u
 
 
@@ -304,12 +302,6 @@ def metropolis_accept(delta_h: float, rng: np.random.Generator) -> bool:
     if delta_h == math.inf:
         return False
     return rng.random() < math.exp(-delta_h)
-
-
-def _kinetic(p: np.ndarray, mass_diag: Optional[np.ndarray]) -> float:
-    if mass_diag is None:
-        return 0.5 * float(p @ p)
-    return 0.5 * float(np.sum(p * p / mass_diag))
 
 
 def ghmc_iteration(state: ChainState, dt: float, config: SamplerConfig, model,
@@ -328,23 +320,21 @@ def ghmc_iteration(state: ChainState, dt: float, config: SamplerConfig, model,
     n_steps = int(config.l_rule.draw(rng))
     phi = float(config.phi_rule.draw(rng))
 
-    mass_diag = config.mass_diag
-    p = partial_momentum_update(state.p, phi, mass_diag, rng)
-    h0 = state.potential + _kinetic(p, mass_diag)
+    p = partial_momentum_update(state.p, phi, rng)
+    h0 = state.potential + 0.5 * float(p @ p)
 
     kicks, drifts = config.scheme.step_coefficients(dt)
     # divergent trajectories overflow by design and are rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         theta, p_new, grad, n_evals = apply_leg(
-            kicks, drifts, model, state.theta, p, dt, n_steps, mass_diag,
-            state.grad
+            kicks, drifts, model, state.theta, p, dt, n_steps, state.grad
         )
         delta_h = math.inf
         u_new = math.nan
         if np.isfinite(theta).all() and np.isfinite(p_new).all():
             u_new = float(model.potential(theta))
             if math.isfinite(u_new):
-                delta_h = u_new + _kinetic(p_new, mass_diag) - h0
+                delta_h = u_new + 0.5 * float(p_new @ p_new) - h0
     divergent = not math.isfinite(delta_h) or abs(delta_h) > DIVERGENCE_THRESHOLD
     if not math.isfinite(delta_h):
         delta_h = math.inf
@@ -394,9 +384,6 @@ def run_chain(model, config: SamplerConfig, n_iterations: int,
         if theta.shape != (model.dimension,):
             raise ValueError("initial theta has the wrong dimension")
     p = rng.standard_normal(model.dimension)
-    if config.mass_diag is not None:
-        p = p * np.sqrt(config.mass_diag)
-
     state = ChainState(theta, p, float(model.potential(theta)),
                        np.asarray(model.gradient(theta), dtype=float))
     samples = np.empty((n_iterations, model.dimension))

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import integrators
 from .integrators import H_COLSI3, H_LOWER, lambda_k, rotation_angle
-from .saia import SAIA3Map, default_map
+from .saia import default_map
 from .samplers import (
     AdaptiveScheme,
     ChainRecords,
@@ -142,8 +142,6 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
                target_ar: float = _AR_TARGET_DEFAULT,
                collect_freq: bool = False,
                seed: int = 0,
-               initial_theta: Optional[np.ndarray] = None,
-               saia_map: Optional[SAIA3Map] = None,
                h_lower: float = H_LOWER):
     """Run the adaptation burn-in and collect tuning statistics.
 
@@ -167,7 +165,7 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
         raise ValueError("burn-in needs at least 100 iterations")
     d = model.dimension
     if mode == "ghmc":
-        lo, hi = phi_interval(d, saia_map or default_map(), h_lower=h_lower)
+        lo, hi = phi_interval(d, h_lower=h_lower)
         phi_rule = UniformInterval(lo, hi)
     elif mode == "hmc":
         phi_rule = Fixed(1.0)
@@ -185,8 +183,7 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
         seed=seed,
     )
     rng = chain_rng(seed, 0)
-    theta = (rng.standard_normal(d) if initial_theta is None
-             else np.array(initial_theta, dtype=float))
+    theta = rng.standard_normal(d)
     state = ChainState(theta, rng.standard_normal(d),
                        float(model.potential(theta)),
                        np.asarray(model.gradient(theta), dtype=float))
@@ -222,8 +219,7 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
     n_clamped = 0
     if collect_freq and model.has_hessian:
         omegas, omega_max, omega_std, n_clamped = collect_frequencies(
-            model, samples[half:], thinning=10
-        )
+            model, samples[half:])
     else:
         omegas = None
         omega_std = 0.0
@@ -261,10 +257,10 @@ def _acceptance_implied_omega_max(ar: float, dt_vv: float, d: int,
     return (2.0 / dt_vv) * (2.0 * math.pi * (1.0 - ar_capped) ** 2 / d) ** (1.0 / 6.0)
 
 
-def collect_frequencies(model, samples: np.ndarray, thinning: int = 10):
+def collect_frequencies(model, samples: np.ndarray):
     """Average the Hessian eigenfrequencies over thinned samples.
 
-    For each of ``thinning`` evenly spaced samples the Hessian is
+    For each of ten evenly spaced samples the Hessian is
     eigendecomposed; frequencies are square roots of the eigenvalues with
     negative values clamped to zero and counted.  Sorted spectra are averaged
     position-wise.
@@ -277,7 +273,7 @@ def collect_frequencies(model, samples: np.ndarray, thinning: int = 10):
                           "acceptance-based fitting factor instead")
     samples = np.atleast_2d(samples)
     idx = np.unique(np.linspace(0, samples.shape[0] - 1,
-                                min(thinning, samples.shape[0])).astype(int))
+                                min(10, samples.shape[0])).astype(int))
     spectra = []
     n_clamped = 0
     for i in idx:
@@ -352,11 +348,7 @@ def stepsize_interval(cf: float, h_lower: float = H_LOWER) -> tuple[float, float
     return h_lower / cf, H_COLSI3 / cf
 
 
-def _lambda3_at(h: float, saia_map: SAIA3Map) -> float:
-    return lambda_k(saia_map.scheme_at(h))
-
-
-def phi_opt(h: float, dimension: int, saia_map: Optional[SAIA3Map] = None) -> float:
+def phi_opt(h: float, dimension: int) -> float:
     """Optimal refresh noise at dimensionless step h for dimension D.
 
     phi_opt(h) = min(1, -ln(0.999) K(h) / D) with
@@ -365,15 +357,14 @@ def phi_opt(h: float, dimension: int, saia_map: Optional[SAIA3Map] = None) -> fl
     """
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
-    lam = _lambda3_at(h, saia_map or default_map())
+    lam = lambda_k(default_map().scheme_at(h))
     if lam == 0.0:
         raise TuningError(f"lambda3({h}) vanished; the noise formula is singular")
     k_h = (1.0 + 2.0 * h * h * lam) / (2.0 * h ** 4 * lam * lam)
     return min(1.0, _PHI_LOG_ALPHA * k_h / dimension)
 
 
-def phi_interval(dimension: int, saia_map: Optional[SAIA3Map] = None,
-                 h_lower: float = H_LOWER) -> tuple[float, float]:
+def phi_interval(dimension: int, h_lower: float = H_LOWER) -> tuple[float, float]:
     """Refresh-noise randomization interval (phi_opt(3), phi_opt(h_lower)).
 
     K(h) decreases over (h_lower, 3), so the step-size endpoints map to the
@@ -381,9 +372,8 @@ def phi_interval(dimension: int, saia_map: Optional[SAIA3Map] = None,
     independently; a fully clipped interval degenerates to standard-HMC
     refreshment and is reported.
     """
-    saia_map = saia_map or default_map()
-    lo = phi_opt(H_COLSI3, dimension, saia_map)
-    hi = phi_opt(h_lower, dimension, saia_map)
+    lo = phi_opt(H_COLSI3, dimension)
+    hi = phi_opt(h_lower, dimension)
     if lo >= 1.0 and hi >= 1.0:
         warnings.warn("optimal noise interval clipped to {1}; refreshment "
                       "degenerates to full resampling", RuntimeWarning)
@@ -399,15 +389,13 @@ def l_scheme(s_f: float):
     return DiscreteSet((2, 5, 7))
 
 
-def eta_at_interval_midpoint(saia_map: Optional[SAIA3Map] = None,
-                             h_lower: float = H_LOWER) -> float:
+def eta_at_interval_midpoint() -> float:
     """Rotation angle of the adaptive scheme at h* = (h_lower + 3) / 2."""
-    saia_map = saia_map or default_map()
-    h_star = 0.5 * (h_lower + H_COLSI3)
-    return rotation_angle(saia_map.scheme_at(h_star), h_star)
+    h_star = 0.5 * (H_LOWER + H_COLSI3)
+    return rotation_angle(default_map().scheme_at(h_star), h_star)
 
 
-def l_candidates_from_eta(s_f: float, eta: Optional[float] = None,
+def l_candidates_from_eta(s_f: float, eta: float,
                           n_values: tuple = (1, 2, 3)) -> list[float]:
     """Trajectory lengths equalizing harmonic and anharmonic energy errors.
 
@@ -417,13 +405,11 @@ def l_candidates_from_eta(s_f: float, eta: Optional[float] = None,
 
     and for n = 0 the reflected branch (pi - arcsin(.)) / eta, which equals
     exactly 1 when S_f = 1.  With the rotation angle at the midpoint of the
-    production step interval the n = 1..3 values are near 2.4, 4.8 and 7.2
-    and round to the randomization set {2, 5, 7}.
+    production step interval, ``eta_at_interval_midpoint()``, the n = 1..3
+    values are near 2.4, 4.8 and 7.2 and round to the set {2, 5, 7}.
     """
     if s_f < 1.0:
         raise ValueError("fitting factor must be at least 1")
-    if eta is None:
-        eta = eta_at_interval_midpoint()
     if not 0.0 < eta < math.pi:
         raise ValueError("eta must lie in (0, pi)")
     s = math.sin(eta) / s_f ** 3
@@ -498,7 +484,6 @@ class TuningReport:
 
 def produce_settings(stats: BurninStats, mode: str = "ghmc",
                      fitting_mode: str = "auto",
-                     saia_map: Optional[SAIA3Map] = None,
                      seed: int = 0,
                      h_lower: float = H_LOWER):
     """Assemble the tuning report and a ready-to-run sampler configuration.
@@ -508,7 +493,6 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc",
         mode: "ghmc" or "hmc"; HMC omits the refresh-noise interval.
         fitting_mode: "s_omega", "s", or "auto" (spectrum-based when
             available).
-        saia_map: Coefficient map for the adaptive integrator.
         seed: Root seed stored in the sampler configuration.
         h_lower: Lower endpoint of the dimensionless step interval
             (perturbed by the sensitivity harness, 2.0772 otherwise).
@@ -516,14 +500,13 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc",
     Returns:
         (TuningReport, SamplerConfig)
     """
-    saia_map = saia_map or default_map()
     if fitting_mode == "auto":
         fitting_mode = "s_omega" if stats.has_frequencies else "s"
     s_f = fitting_factor(stats, fitting_mode)
     cf = dimensionalization_factor(s_f, stats.omega_max, stats.omega_std)
     dt_lower, dt_colsi = stepsize_interval(cf, h_lower)
     if mode == "ghmc":
-        phi_lo, phi_hi = phi_interval(stats.dimension, saia_map, h_lower)
+        phi_lo, phi_hi = phi_interval(stats.dimension, h_lower)
     elif mode == "hmc":
         phi_lo = phi_hi = None
     else:
@@ -548,14 +531,12 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc",
         burnin_iterations=stats.n_iterations,
         seed=seed,
     )
-    config = config_from_report(report, seed=seed, saia_map=saia_map)
+    config = config_from_report(report)
     return report, config
 
 
-def config_from_report(report: TuningReport, seed: Optional[int] = None,
-                       saia_map: Optional[SAIA3Map] = None) -> SamplerConfig:
+def config_from_report(report: TuningReport) -> SamplerConfig:
     """Rebuild a production sampler configuration from a serialized report."""
-    saia_map = saia_map or default_map()
     if report.mode == "ghmc":
         if report.phi_lower == report.phi_upper:
             phi_rule = Fixed(report.phi_lower)
@@ -568,25 +549,22 @@ def config_from_report(report: TuningReport, seed: Optional[int] = None,
         dt_rule=UniformInterval(report.dt_lower, report.dt_colsi),
         l_rule=report.l_rule(),
         phi_rule=phi_rule,
-        scheme=AdaptiveScheme(report.cf, saia_map),
-        seed=report.seed if seed is None else seed,
+        scheme=AdaptiveScheme(report.cf, default_map()),
+        seed=report.seed,
     )
 
 
 def atune(model, mode: str = "ghmc", n_burnin: int = 1000,
           target_ar: float = _AR_TARGET_DEFAULT, collect_freq: bool = True,
           fitting_mode: str = "auto", seed: int = 0,
-          saia_map: Optional[SAIA3Map] = None,
-          h_lower: float = H_LOWER, **burnin_kwargs):
+          h_lower: float = H_LOWER):
     """Burn-in plus analysis in one call.
 
     Returns:
         (TuningReport, SamplerConfig, BurninStats)
     """
-    saia_map = saia_map or default_map()
     stats, _ = run_burnin(model, n_burnin, mode=mode, target_ar=target_ar,
-                          collect_freq=collect_freq, seed=seed,
-                          saia_map=saia_map, h_lower=h_lower, **burnin_kwargs)
+                          collect_freq=collect_freq, seed=seed, h_lower=h_lower)
     report, config = produce_settings(stats, mode=mode, fitting_mode=fitting_mode,
-                                      saia_map=saia_map, seed=seed, h_lower=h_lower)
+                                      seed=seed, h_lower=h_lower)
     return report, config, stats

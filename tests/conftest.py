@@ -1,8 +1,13 @@
-import numpy as np
-import pytest
+import os
 
-from ghmctune.models import gaussian_model
-from ghmctune.saia import default_map
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy is first imported
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from ghmctune.models import gaussian_model  # noqa: E402
+from ghmctune.saia import default_map  # noqa: E402
 
 
 @pytest.fixture(scope="session")

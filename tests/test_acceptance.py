@@ -71,29 +71,28 @@ def test_criterion_01_h_lower():
              f"root={root:.6f} (target 2.0772 +- 1e-3), {elapsed * 1e3:.0f} ms")
 
 
-def test_criterion_02_phi_products(saia_map):
+def test_criterion_02_phi_products():
     rows = []
     ok = True
     for d in (25, 167, 500, 1000, 2000):
-        lo, hi = phi_interval(d, saia_map)
+        lo, hi = phi_interval(d)
         rows.append(f"D={d}: lo*D={lo * d:.4f} hi*D={hi * d:.4f}")
         ok &= 0.42 <= lo * d <= 0.46
         ok &= 2.55 <= hi * d <= 2.75
-    lo2, hi2 = phi_interval(2, saia_map)
+    lo2, hi2 = phi_interval(2)
     ok &= hi2 == 1.0
     ok &= abs(lo2 - 0.21904) <= 0.05 * 0.21904
     rows.append(f"D=2: lo={lo2:.5f} (0.21904 +- 5%), hi={hi2} (clip at 1)")
     _verdict(2, "phi*D invariants", ok, "; ".join(rows))
 
 
-def test_criterion_03_stepsize_ratio(saia_map):
+def test_criterion_03_stepsize_ratio():
     ok = True
     details = []
     # reports across models and fitting factors
     for dim, seed in ((6, 1), (20, 2), (100, 0)):
         model = gaussian_model(gen_wishart_precision(dim, seed=seed))
-        report, _, _ = atune(model, mode="ghmc", n_burnin=400,
-                             saia_map=saia_map, seed=seed)
+        report, _, _ = atune(model, mode="ghmc", n_burnin=400, seed=seed)
         ratio = report.dt_colsi / report.dt_lower
         ok &= abs(ratio - 3.0 / 2.0772) <= 1e-9
         details.append(f"D={dim}: ratio={ratio:.12f}")
@@ -141,7 +140,7 @@ def test_criterion_05_eta_anchor(saia_map):
 
 def test_criterion_06_sampler_exactness(std_gauss_1d, saia_map):
     # (a) pooled stationarity KS at the 1% level
-    lo, hi = phi_interval(1, saia_map)
+    lo, hi = phi_interval(1)
     config = SamplerConfig(mode="ghmc", dt_rule=UniformInterval(H_LOWER, 3.0),
                            l_rule=Fixed(1), phi_rule=UniformInterval(lo, hi),
                            scheme=AdaptiveScheme(1.0, saia_map), seed=77)
@@ -214,7 +213,7 @@ def test_criterion_07_diagnostics_calibration():
              f"vs N/3={n / 3:.0f}")
 
 
-def test_criterion_08_desk_scale_replication(saia_map):
+def test_criterion_08_desk_scale_replication():
     """AT-GHMC vs heuristically randomized HMC on gauss-100, five seeds.
 
     Protocol (production-after-burn-in): chains start from exact target
@@ -229,7 +228,7 @@ def test_criterion_08_desk_scale_replication(saia_map):
         spec = gen_wishart_precision(100, seed=seed)
         model = gaussian_model(spec, name="g100")
         report, config, _ = atune(model, mode="ghmc", n_burnin=1500,
-                                  saia_map=saia_map, seed=seed)
+                                  seed=seed)
         inits = sample_gaussian(spec, 4, chain_rng(seed, 10_000))
 
         def run_set(cfg, n_iter):

@@ -72,6 +72,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=field):
             _small_config(tmp_path, **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("dt_fixed", 0.0), ("dt_fixed", -0.1), ("dt_interval", (0.5, 0.1)),
+        ("l_fixed", 0), ("l_range", (0, 3)), ("l_range", ("a", 3)),
+        ("l_choices", (0, 2)), ("phi_fixed", 1.5), ("phi_interval", (0.2, 1.5))])
+    def test_out_of_range_override_rejected(self, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=field):
+            _small_config(tmp_path, **{field: value})
+
 
 class TestBenchmarks:
     def test_gauss_preset(self, tmp_path):
@@ -429,6 +437,46 @@ class TestCli:
                      "--dt-fixed", "0.1", "--out-dir", str(out)])
         assert code == 2
         assert "phi rule" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("integrator", [[], ["--integrator", "vv"]])
+    @pytest.mark.parametrize("flags,name", [
+        (["--dt-fixed", "0"], "dt_fixed"),
+        (["--dt-interval", "0.5,0.1"], "dt_interval"),
+        (["--l-fixed", "0"], "l_fixed"),
+        (["--l-range", "0,3"], "l_range"),
+        (["--phi-fixed", "1.5"], "phi_fixed"),
+        (["--dt-interval", "0.1,x"], "--dt-interval"),
+        (["--l-range", "1,x"], "--l-range"),
+        (["--l-choices", "2,five"], "--l-choices"),
+        (["--phi-interval", "0.1,y"], "--phi-interval")])
+    def test_bad_override_exits_before_output(self, tmp_path, capsys, flags,
+                                              name, integrator):
+        # without --integrator the run would tune first
+        out = tmp_path / "never"
+        code = main(["sample", "--benchmark", "gauss-5", "--n-burnin", "200",
+                     *integrator, *flags, "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,name", [
+        ('{"benchmark": "gauss-4", "n_chain": 2}', "n_chain"),
+        ('{"benchmark": "gauss-4", "n_chains": "4"}', "invalid run configuration"),
+        ('{"benchmark": "gauss-4", "dt_interval": 5}', "invalid run configuration"),
+        ('["gauss-4"]', "JSON object"),
+        ('{"benchmark": "gauss-4",', "--config")])
+    def test_bad_config_file_exits_before_output(self, tmp_path, capsys, text,
+                                                 name):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        out = tmp_path / "never"
+        code = main(["sample", "--benchmark", "gauss-4", "--out-dir", str(out),
+                     "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and name in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--psrf-statistic", "maxx"],

@@ -11,7 +11,6 @@ from ghmctune.integrators import (
     OutOfStabilityError,
     SplittingScheme,
     apply_leg,
-    apply_step,
     bcss2_coefficient,
     build_scheme,
     energy_error_bound,
@@ -318,7 +317,7 @@ class TestApplySteps:
         theta, p = np.array([0.2, -0.4]), np.array([1.0, 0.5])
         for name in ALL_NAMES:
             s = build_scheme(name)
-            t2, p2, _, _ = apply_step(s, model, theta, p, 0.3)
+            t2, p2, _, _ = apply_leg(s.kicks, s.drifts, model, theta, p, 0.3, 1)
             assert t2 == pytest.approx(theta + 0.3 * p, rel=1e-14)
             assert p2 == pytest.approx(p, rel=1e-14)
 
@@ -328,7 +327,8 @@ class TestApplySteps:
         for name in ALL_NAMES:
             s = build_scheme(name)
             h = 0.9
-            t2, p2, _, _ = apply_step(s, model, state[0], state[1], h)
+            t2, p2, _, _ = apply_leg(s.kicks, s.drifts, model, state[0], state[1],
+                                     h, 1)
             m = harmonic_propagator(s, h).matrix()
             expected = m @ np.array([state[0][0], state[1][0]])
             assert t2[0] == pytest.approx(expected[0], abs=1e-12)
@@ -352,7 +352,7 @@ class TestApplySteps:
         grad0 = model.gradient(theta)
         _, _, _, n = apply_leg(s.kicks, s.drifts, model, theta, p, 0.1, 5, grad=grad0)
         assert n == 5 * s.stages
-        _, _, _, n_cold = apply_step(s, model, theta, p, 0.1)
+        _, _, _, n_cold = apply_leg(s.kicks, s.drifts, model, theta, p, 0.1, 1)
         assert n_cold == s.stages + 1
 
 

@@ -60,19 +60,16 @@ def _scheme_at(selector, dt: float) -> SplittingScheme:
     return selector.saia_map.scheme_at(selector.cf * dt)
 
 
-def _kinetic(p, mass_diag):
-    if mass_diag is None:
-        return 0.5 * float(p @ p)
-    return 0.5 * float(np.sum(p * p / mass_diag))
+def _kinetic(p):
+    return 0.5 * float(p @ p)
 
 
-def _step(scheme, model, theta, p, dt, mass_diag, grad):
-    inv_mass = 1.0 if mass_diag is None else 1.0 / mass_diag
+def _step(scheme, model, theta, p, dt, grad):
     theta = np.array(theta, dtype=float)
     p = np.array(p, dtype=float)
     p -= scheme.kicks[0] * dt * grad
     for i, a in enumerate(scheme.drifts):
-        theta += a * dt * (inv_mass * p)
+        theta += a * dt * p
         grad = model.gradient(theta)
         p -= scheme.kicks[i + 1] * dt * grad
     return theta, p, grad, scheme.stages
@@ -89,30 +86,27 @@ def _accept(delta_h, rng):
 
 
 def _iteration(state, config, model, rng):
-    mass_diag = config.mass_diag
     dt = float(config.dt_rule.draw(rng))
     n_steps = int(config.l_rule.draw(rng))
     phi = float(config.phi_rule.draw(rng))
     u = rng.standard_normal(state.p.shape)
-    if mass_diag is not None:
-        u = u * np.sqrt(mass_diag)
     p = math.sqrt(1.0 - phi) * state.p + math.sqrt(phi) * u
     state = _State(state.theta, p, state.potential, state.grad)
-    h0 = state.potential + _kinetic(p, mass_diag)
+    h0 = state.potential + _kinetic(p)
 
     scheme = _scheme_at(config.scheme, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         theta, p_new, grad, n_evals = state.theta, p, state.grad, 0
         for _ in range(n_steps):
             theta, p_new, grad, n = _step(scheme, model, theta, p_new, dt,
-                                          mass_diag, grad)
+                                          grad)
             n_evals += n
         delta_h = math.inf
         u_new = math.nan
         if np.all(np.isfinite(theta)) and np.all(np.isfinite(p_new)):
             u_new = float(model.potential(theta))
             if math.isfinite(u_new):
-                delta_h = u_new + _kinetic(p_new, mass_diag) - h0
+                delta_h = u_new + _kinetic(p_new) - h0
     divergent = False
     if not math.isfinite(delta_h) or abs(delta_h) > DIVERGENCE_THRESHOLD:
         divergent = True
@@ -134,8 +128,6 @@ def _reference_chain(model, config, n_iterations, initial_theta=None,
     else:
         theta = np.array(initial_theta, dtype=float)
     p = rng.standard_normal(model.dimension)
-    if config.mass_diag is not None:
-        p = p * np.sqrt(config.mass_diag)
     state = _State(theta, p, float(model.potential(theta)),
                    np.asarray(model.gradient(theta), dtype=float))
     samples = np.empty((n_iterations, model.dimension))
@@ -169,25 +161,20 @@ def _dt_interval(cf=6.0):
     return UniformInterval(2.0772 / cf, 3.0 / cf)
 
 
-def _phi(saia_map):
-    return UniformInterval(*phi_interval(8, saia_map))
+def _phi():
+    return UniformInterval(*phi_interval(8))
 
 
 CASES = {
     "adaptive-ghmc-l1": lambda m: dict(
         mode="ghmc", dt_rule=_dt_interval(), l_rule=Fixed(1),
-        phi_rule=_phi(m), scheme=_adaptive(m), seed=3),
+        phi_rule=_phi(), scheme=_adaptive(m), seed=3),
     "hmc-uniform-l-1-66": lambda m: dict(
         mode="hmc", dt_rule=_dt_interval(), l_rule=UniformIntRange(1, 66),
         scheme=_adaptive(m), seed=4),
     "ghmc-discrete-set": lambda m: dict(
         mode="ghmc", dt_rule=_dt_interval(), l_rule=DiscreteSet((2, 5, 7)),
-        phi_rule=_phi(m), scheme=_adaptive(m), seed=5),
-    "mass-diag": lambda m: dict(
-        mode="ghmc", dt_rule=UniformInterval(0.2, 0.4),
-        l_rule=UniformIntRange(1, 4), phi_rule=UniformInterval(0.1, 0.6),
-        scheme=_adaptive(m, cf=5.0),
-        mass_diag=np.linspace(0.5, 2.0, 8), seed=6),
+        phi_rule=_phi(), scheme=_adaptive(m), seed=5),
     "fixed-bcss3": lambda m: dict(
         mode="ghmc", dt_rule=UniformInterval(0.5, 0.9), l_rule=Fixed(3),
         phi_rule=Fixed(0.3), scheme=build_scheme("bcss3"), seed=7),

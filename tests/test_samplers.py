@@ -38,32 +38,31 @@ class TestPartialMomentumUpdate:
         p = np.array([5.0, -3.0])
         rng1 = np.random.default_rng(1)
         rng2 = np.random.default_rng(1)
-        refreshed = partial_momentum_update(p, 1.0, None, rng1)
+        refreshed = partial_momentum_update(p, 1.0, rng1)
         noise = rng2.standard_normal(2)
         assert np.array_equal(refreshed, noise)
 
     def test_tiny_phi_keeps_momentum(self):
         p = np.array([1.0, 2.0, 3.0])
-        refreshed = partial_momentum_update(p, 1e-14, None, np.random.default_rng(0))
+        refreshed = partial_momentum_update(p, 1e-14, np.random.default_rng(0))
         assert refreshed == pytest.approx(p, rel=1e-6)
 
     def test_preserves_target_covariance(self):
-        # p ~ N(0, M) stays N(0, M) after mixing for any phi
-        mass = np.array([0.5, 2.0, 1.0])
+        # p ~ N(0, I) stays N(0, I) after mixing for any phi
         rng = np.random.default_rng(42)
         draws = np.empty((100_000, 3))
         for i in range(draws.shape[0]):
-            p = np.sqrt(mass) * rng.standard_normal(3)
-            draws[i] = partial_momentum_update(p, 0.3, mass, rng)
+            p = rng.standard_normal(3)
+            draws[i] = partial_momentum_update(p, 0.3, rng)
         cov = np.cov(draws.T)
-        assert np.diag(cov) == pytest.approx(mass, rel=0.03)
+        assert np.diag(cov) == pytest.approx(np.ones(3), rel=0.03)
         off = cov - np.diag(np.diag(cov))
-        assert np.max(np.abs(off)) < 0.03 * mass.max()
+        assert np.max(np.abs(off)) < 0.03
 
     @pytest.mark.parametrize("phi", [0.0, -0.1, 1.1])
     def test_rejects_bad_phi(self, phi):
         with pytest.raises(ValueError):
-            partial_momentum_update(np.zeros(2), phi, None, np.random.default_rng(0))
+            partial_momentum_update(np.zeros(2), phi, np.random.default_rng(0))
 
 
 class TestMetropolis:
@@ -104,7 +103,7 @@ class TestIteration:
         rng = chain_rng(1, 0)
         theta, p = np.array([0.4]), np.array([0.0])
         for _ in range(50):
-            p = partial_momentum_update(p, 0.5, None, rng)
+            p = partial_momentum_update(p, 0.5, rng)
             h0 = 0.5 * (p @ p) + 0.5 * (theta @ theta)
             angle = 1.23
             theta, p = (math.cos(angle) * theta + math.sin(angle) * p,
@@ -200,6 +199,11 @@ class TestRunChain:
                           phi_rule=UniformInterval(0.5, 1.2),
                           scheme=build_scheme("vv"))
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+    def test_fixed_step_must_be_positive(self, dt):
+        with pytest.raises(ValueError, match="step size"):
+            _vv_config(dt=dt)
+
     def test_needs_at_least_one_iteration(self, std_gauss_1d):
         with pytest.raises(ValueError):
             run_chain(std_gauss_1d, _vv_config(), 0)
@@ -248,7 +252,7 @@ class TestStationarity:
         from ghmctune.samplers import AdaptiveScheme
         from ghmctune.tuning import phi_interval
 
-        lo, hi = phi_interval(1, saia_map)
+        lo, hi = phi_interval(1)
         config = SamplerConfig(
             mode="ghmc",
             dt_rule=UniformInterval(2.0772, 3.0),

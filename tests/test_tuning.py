@@ -189,33 +189,33 @@ class TestStepsizeInterval:
 
 
 class TestPhiInterval:
-    def test_reference_large_dimension(self, saia_map):
-        lo, hi = phi_interval(1000, saia_map)
+    def test_reference_large_dimension(self):
+        lo, hi = phi_interval(1000)
         assert lo == pytest.approx(0.00044, rel=0.05)
         assert hi == pytest.approx(0.00264, rel=0.05)
 
-    def test_small_dimension_clips(self, saia_map):
-        lo, hi = phi_interval(2, saia_map)
+    def test_small_dimension_clips(self):
+        lo, hi = phi_interval(2)
         assert hi == 1.0
         assert lo == pytest.approx(0.21904, rel=0.05)
 
-    def test_product_invariant_across_dimensions(self, saia_map):
+    def test_product_invariant_across_dimensions(self):
         lower_products = []
         upper_products = []
         for d in (25, 167, 500, 1000, 2000):
-            lo, hi = phi_interval(d, saia_map)
+            lo, hi = phi_interval(d)
             lower_products.append(lo * d)
             upper_products.append(hi * d)
         assert max(lower_products) / min(lower_products) < 1.02
         assert max(upper_products) / min(upper_products) < 1.02
 
-    def test_upper_endpoint_clips_independently(self, saia_map):
-        lo, hi = phi_interval(1, saia_map)
+    def test_upper_endpoint_clips_independently(self):
+        lo, hi = phi_interval(1)
         assert hi == 1.0
         assert 0.0 < lo < 1.0
 
-    def test_phi_opt_monotone_over_interval(self, saia_map):
-        values = [phi_opt(h, 500, saia_map) for h in np.linspace(H_LOWER, 3.0, 20)]
+    def test_phi_opt_monotone_over_interval(self):
+        values = [phi_opt(h, 500) for h in np.linspace(H_LOWER, 3.0, 20)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -243,9 +243,8 @@ class TestLRules:
 
 
 class TestLCandidates:
-    def test_eta_midpoint_reference(self, saia_map):
-        assert eta_at_interval_midpoint(saia_map) == pytest.approx(2.637354,
-                                                                   abs=1e-3)
+    def test_eta_midpoint_reference(self):
+        assert eta_at_interval_midpoint() == pytest.approx(2.637354, abs=1e-3)
 
     def test_reference_candidate_values(self):
         eta = 2.637354
@@ -255,61 +254,56 @@ class TestLCandidates:
         assert l3 == pytest.approx(7.2, abs=0.1)
 
     @pytest.mark.parametrize("s_f", [1.5, 2.0, 3.0, 10.0, 1e6])
-    def test_rounds_to_choice_set(self, s_f, saia_map):
-        eta = eta_at_interval_midpoint(saia_map)
+    def test_rounds_to_choice_set(self, s_f):
+        eta = eta_at_interval_midpoint()
         rounded = [round(v) for v in l_candidates_from_eta(s_f, eta=eta)]
         assert rounded == [2, 5, 7]
 
-    def test_reflected_branch_at_unit_fitting(self, saia_map):
-        eta = eta_at_interval_midpoint(saia_map)
+    def test_reflected_branch_at_unit_fitting(self):
+        eta = eta_at_interval_midpoint()
         (l0,) = l_candidates_from_eta(1.0, eta=eta, n_values=(0,))
         assert l0 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestProduceSettings:
-    def test_hmc_report_omits_phi(self, saia_map):
-        report, config = produce_settings(_stats(), mode="hmc",
-                                          saia_map=saia_map)
+    def test_hmc_report_omits_phi(self):
+        report, config = produce_settings(_stats(), mode="hmc")
         assert report.phi_lower is None and report.phi_upper is None
         assert isinstance(config.phi_rule, Fixed) and config.phi_rule.value == 1.0
 
-    def test_ratio_invariant_enforced(self, saia_map):
-        report, _ = produce_settings(_stats(), saia_map=saia_map)
+    def test_ratio_invariant_enforced(self):
+        report, _ = produce_settings(_stats())
         assert report.dt_colsi / report.dt_lower == pytest.approx(3.0 / H_LOWER,
                                                                   abs=1e-9)
 
-    def test_unit_frequency_pipeline(self, saia_map):
+    def test_unit_frequency_pipeline(self):
         # identity-precision target: CF = S_f * 1, interval = (2.0772, 3)/S_f
         model = gaussian_model(np.eye(100), name="i100")
         report, config, stats = atune(model, mode="ghmc", n_burnin=800,
-                                      saia_map=saia_map, seed=13)
+                                      seed=13)
         assert stats.omega_max == pytest.approx(1.0, abs=1e-9)
         assert report.cf == pytest.approx(report.s_f, rel=1e-12)
         assert report.dt_lower == pytest.approx(H_LOWER / report.s_f, rel=1e-12)
         assert report.dt_colsi == pytest.approx(3.0 / report.s_f, rel=1e-12)
 
-    def test_report_json_round_trip(self, saia_map):
-        report, _ = produce_settings(_stats(dimension=40), saia_map=saia_map,
-                                     seed=3)
+    def test_report_json_round_trip(self):
+        report, _ = produce_settings(_stats(dimension=40), seed=3)
         text = report.to_json()
         again = TuningReport.from_json(text)
         assert again == report
         assert again.to_json() == text
 
-    def test_production_steps_stay_in_tuned_window(self, saia_map):
+    def test_production_steps_stay_in_tuned_window(self):
         model = gaussian_model(gen_wishart_precision(10, seed=6), name="g10")
-        report, config, _ = atune(model, mode="ghmc", n_burnin=600,
-                                  saia_map=saia_map, seed=6)
+        report, config, _ = atune(model, mode="ghmc", n_burnin=600, seed=6)
         _, records = run_chain(model, config, 300)
         h_drawn = report.cf * records.dt
         assert np.all(h_drawn >= H_LOWER - 1e-9)
         assert np.all(h_drawn <= 3.0 + 1e-9)
 
-    def test_config_from_report_round_trip(self, saia_map):
-        report, config = produce_settings(_stats(dimension=30),
-                                          saia_map=saia_map, seed=8)
-        rebuilt = config_from_report(TuningReport.from_json(report.to_json()),
-                                     saia_map=saia_map)
+    def test_config_from_report_round_trip(self):
+        report, config = produce_settings(_stats(dimension=30), seed=8)
+        rebuilt = config_from_report(TuningReport.from_json(report.to_json()))
         assert isinstance(rebuilt.dt_rule, UniformInterval)
         assert rebuilt.dt_rule == config.dt_rule
         assert rebuilt.phi_rule == config.phi_rule
