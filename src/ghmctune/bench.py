@@ -437,6 +437,11 @@ def cmd_sample(config: RunConfig, report: Optional[TuningReport] = None,
                            or config.integrator in (None, "saia3")):
         report = cmd_tune(config, out_dir=out)
         report_path = out / "tuning_report.json"
+    elif report is not None:
+        dimension = resolve_benchmark(config).dimension
+        if report.dimension != dimension:
+            raise ConfigError(f"the tuning report is for dimension {report.dimension}, "
+                              f"{config.benchmark} has dimension {dimension}")
     # without inline tuning, an invalid run is rejected before its directory exists
     sampler_config = _build_sampler_config(config, report)
     out.mkdir(parents=True, exist_ok=True)

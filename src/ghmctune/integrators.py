@@ -2,8 +2,8 @@
 
 A k-stage scheme alternates momentum kicks (coefficients b_i) with position
 drifts (coefficients a_j) in a palindromic order, costing k gradient
-evaluations per step once the touching end-kicks of consecutive steps are
-merged.  The module provides:
+evaluations per step because the touching end-kicks of consecutive steps
+share one gradient (they stay two momentum updates).  The module provides:
 
 * the named one-, two- and three-stage schemes used by the samplers
   (velocity Verlet and its two/three-stage compositions, the minimax
@@ -122,7 +122,7 @@ class SplittingScheme:
 
     @property
     def stages(self) -> int:
-        """Gradient evaluations per step with merged end-kicks."""
+        """Fresh gradient evaluations per step (touching end-kicks share one)."""
         return len(self.drifts)
 
     @property
@@ -325,7 +325,9 @@ def _rho3_closed_form(h, b):
     p = ((b - 1.25) * b + 0.5) * b - 0.0625
     s = ((-3.0 * b + 8.0) * b - 4.75) * b * b + b + b * b * h2 * p - 0.0625
     f1 = 3.0 * b - b * h2 * (b - 0.25) - 1.0
-    f2 = 1.0 - 3.0 * b - b * h2 * (b - 0.5) ** 2
+    # C pow, as for a scalar b: on an array b, ** 2 squares by multiplication,
+    # which rounds differently about once in a thousand
+    f2 = 1.0 - 3.0 * b - b * h2 * np.float_power(b - 0.5, 2)
     f3 = (6.0 - 9.0 * b) * b - h2 * p - 1.0
     ok = (f1 < 0.0) & (f2 > 0.0) & (f3 < 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -493,7 +495,10 @@ def vv_ratio_roots(k: int) -> list[float]:
 def apply_leg(kicks: tuple, drifts: tuple, model, theta: np.ndarray,
               p: np.ndarray, dt: float, n_steps: int,
               grad: np.ndarray | None = None):
-    """Integrate n_steps unit-mass steps, merging end-kicks between steps.
+    """Integrate n_steps unit-mass steps; touching end-kicks share one gradient.
+
+    The last kick of a step and the first kick of the next use the same
+    gradient but stay two momentum updates, not one merged kick.
 
     Args:
         kicks, drifts: Coefficients of one step, as in ``SplittingScheme``

@@ -13,50 +13,135 @@ stability interval, h = 3, it reproduces the BCSS3 coefficient, which by
 construction minimizes the bound's maximum over (0, 3).
 
 The map is precomputed on a uniform grid over (0, 6), cached to a plain-text
-file, and evaluated by linear interpolation.  Nodes beyond the reach of the
-bound's admissible region (h above roughly 5.15, where no positive kick
-coefficient keeps every denominator factor in range) are flagged and carry
-the last feasible coefficients; production step sizes live in
-[2.0772, 3] and never touch them.
+file, and evaluated by linear interpolation.  The build solves every node's
+minimax at once: one lock-step bounded Brent search over all nodes, whose
+arithmetic per node is that of scipy's scalar
+``minimize_scalar(method="bounded")``, so the map is bit-identical to 600
+scalar solves.  Nodes beyond the reach of the bound's admissible region (h
+above roughly 5.15, where no positive kick coefficient keeps every
+denominator factor in range) are flagged and carry the last feasible
+coefficients; production step sizes live in [2.0772, 3] and never touch
+them.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
+import math
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .integrators import OutOfStabilityError, SplittingScheme, rho3_grid, three_stage_a
 
 __all__ = ["SAIA3Map", "build_saia3_map", "default_map"]
+
+_log = logging.getLogger(__name__)
 
 _B_BOUNDS = (0.02, 0.2499)  # family needs b in (0, 1/4); optimum is interior
 _INNER_GRID = 400  # step-size resolution of the inner sup per node
 
 _MAP_HEADER = "# saia3 coefficient map"
 
+_INFEASIBLE = 1e300  # finite stand-in for +inf, keeps the minimizer's arithmetic finite
+_XATOL = 1e-12  # absolute tolerance on b of the bounded Brent search
+_MAX_EVALS = 500  # objective evaluations per node, the search's own cap
+_CHUNK_ROWS = 64  # nodes per rho3_grid call, keeping temporaries cache-sized
 
-_INFEASIBLE = 1e300  # finite stand-in for +inf, keeps the scalar minimizer quiet
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def _worst_bound(h: float, b: float) -> float:
-    hs = np.linspace(h / _INNER_GRID, h, _INNER_GRID)
-    top = float(np.max(rho3_grid(hs, b)))
-    return top if np.isfinite(top) else _INFEASIBLE
+def _worst_bounds(hs: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max over each row of ``hs`` of rho3(., b[row]), infeasible rows at 1e300."""
+    top = np.empty(len(b))
+    for lo in range(0, len(b), _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        top[rows] = rho3_grid(hs[rows], b[rows, None]).max(axis=1)
+    return np.where(np.isfinite(top), top, _INFEASIBLE)
 
 
-def _node_b_opt(h: float) -> tuple[float, bool]:
-    """Minimax kick coefficient at one grid node; flags infeasible nodes."""
-    res = minimize_scalar(lambda b: _worst_bound(h, b), bounds=_B_BOUNDS,
-                          method="bounded", options={"xatol": 1e-12})
-    b = float(res.x)
-    feasible = _worst_bound(h, b) < _INFEASIBLE
-    at_edge = (b - _B_BOUNDS[0] < 1e-6) or (_B_BOUNDS[1] - b < 1e-6)
-    return b, not (feasible and not at_edge)
+def _minimax_b(h_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimax kick coefficient at every node, by lock-step bounded Brent.
+
+    Runs Brent's bounded minimization (Brent 1973, the arithmetic of scipy's
+    ``minimize_scalar(method="bounded")``) on every node at once: all
+    still-active nodes take the same iteration together, branch by
+    ``np.where``, and a node leaves once its own stopping test holds.  Each
+    node sees the same floating-point operations in the same order as a
+    scalar solve, so the result is bit-identical to one.
+
+    Per node, ``xf`` is the best point so far and ``nfc``, ``fulc`` the
+    second and third best (scipy's names), with values ``fx``, ``fnfc``,
+    ``ffulc``; ``lo``, ``hi`` bracket the minimum.
+
+    Returns:
+        (b, f): the minimizer and the worst-case bound there, per node.
+    """
+    hs = np.linspace(h_grid / _INNER_GRID, h_grid, _INNER_GRID, axis=1)
+    n = len(h_grid)
+    lo, hi = np.full(n, _B_BOUNDS[0]), np.full(n, _B_BOUNDS[1])
+    xf = np.full(n, _B_BOUNDS[0] + _GOLDEN * (_B_BOUNDS[1] - _B_BOUNDS[0]))
+    fx = _worst_bounds(hs, xf)
+    nfc, fnfc, fulc, ffulc = xf, fx, xf, fx
+    rat = e = np.zeros(n)
+    b_out, f_out = xf.copy(), fx.copy()
+    active = np.arange(n)
+    with np.errstate(all="ignore"):  # infeasible values overflow the parabola
+        for _ in range(1, _MAX_EVALS):
+            xm = 0.5 * (lo + hi)
+            tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
+            tol2 = 2.0 * tol1
+            go = np.abs(xf - xm) > (tol2 - 0.5 * (hi - lo))
+            if not go.all():
+                active = active[go]
+                if active.size == 0:
+                    break
+                (hs, lo, hi, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1,
+                 tol2) = (v[go] for v in (hs, lo, hi, xf, fx, nfc, fnfc, fulc,
+                                          ffulc, rat, e, xm, tol1, tol2))
+            # parabola through the three best points, where it is acceptable
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                         & (p > q * (lo - xf)) & (p < q * (hi - xf)))
+            rat_p = (p + 0.0) / q  # + 0.0 as in the scalar code: -0.0 -> 0.0
+            x = xf + rat_p
+            rat_p = np.where(((x - lo) < tol2) | ((hi - x) < tol2),
+                             tol1 * (np.sign(xm - xf) + ((xm - xf) == 0)), rat_p)
+            # otherwise a golden-section step into the larger side
+            e_golden = np.where(xf >= xm, lo - xf, hi - xf)
+            e = np.where(parabolic, rat, e_golden)
+            rat = np.where(parabolic, rat_p, _GOLDEN * e_golden)
+            x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+            fu = _worst_bounds(hs, x)
+
+            better = fu <= fx
+            # on success the old best point becomes the bracket end behind x,
+            # on failure x becomes the bracket end on its own side
+            moves_lo = np.where(better, x >= xf, x < xf)
+            edge = np.where(better, xf, x)
+            lo = np.where(moves_lo, edge, lo)
+            hi = np.where(moves_lo, hi, edge)
+            second = ~better & ((fu <= fnfc) | (nfc == xf))
+            third = ~(better | second) & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+            shift = better | second
+            fulc = np.where(shift, nfc, np.where(third, x, fulc))
+            ffulc = np.where(shift, fnfc, np.where(third, fu, ffulc))
+            nfc = np.where(better, xf, np.where(second, x, nfc))
+            fnfc = np.where(better, fx, np.where(second, fu, fnfc))
+            xf = np.where(better, x, xf)
+            fx = np.where(better, fu, fx)
+            b_out[active], f_out[active] = xf, fx
+    return b_out, f_out
 
 
 @dataclass(frozen=True)
@@ -104,29 +189,38 @@ class SAIA3Map:
         return SplittingScheme.three_stage(b, a, f"saia3@{h:.6g}")
 
     def save(self, path: str | Path) -> None:
+        """Write the map as text, atomically: readers see the old file or all of it."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(f"{_MAP_HEADER}\n")
-            fh.write(f"# nodes={len(self.h_grid)} h_min={float(self.h_grid[0])!r} "
-                     f"h_max={float(self.h_grid[-1])!r} flagged={self.n_flagged}\n")
-            fh.write("# columns: h b_opt a_opt\n")
-            for h, b, a in zip(self.h_grid, self.b_opt, self.a_opt):
-                fh.write(f"{float(h)!r} {float(b)!r} {float(a)!r}\n")
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(f"{_MAP_HEADER}\n")
+                fh.write(f"# nodes={len(self.h_grid)} h_min={float(self.h_grid[0])!r} "
+                         f"h_max={float(self.h_grid[-1])!r} flagged={self.n_flagged}\n")
+                fh.write("# columns: h b_opt a_opt\n")
+                for h, b, a in zip(self.h_grid, self.b_opt, self.a_opt):
+                    fh.write(f"{float(h)!r} {float(b)!r} {float(a)!r}\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @staticmethod
     def load(path: str | Path) -> "SAIA3Map":
+        """Read a saved map; ``ValueError`` unless it has the header's node count."""
         path = Path(path)
         lines = path.read_text().splitlines()
         if not lines or lines[0] != _MAP_HEADER:
             raise ValueError(f"{path} is not a saia3 map file")
-        flagged = 0
-        for tok in lines[1].lstrip("# ").split():
-            if tok.startswith("flagged="):
-                flagged = int(tok.split("=", 1)[1])
-        data = np.array([[float(v) for v in ln.split()]
-                         for ln in lines if not ln.startswith("#")])
-        return SAIA3Map(data[:, 0], data[:, 1], data[:, 2], flagged)
+        meta = dict(tok.split("=", 1) for tok in lines[1].lstrip("# ").split()
+                    if "=" in tok) if len(lines) > 1 else {}
+        rows = [ln.split() for ln in lines if not ln.startswith("#")]
+        if meta.get("nodes") != str(len(rows)) or any(len(r) != 3 for r in rows):
+            raise ValueError(f"{path} has {len(rows)} data rows, its header "
+                             f"nodes={meta.get('nodes')}")
+        data = np.array([[float(v) for v in r] for r in rows]).reshape(-1, 3)
+        return SAIA3Map(data[:, 0], data[:, 1], data[:, 2],
+                        int(meta.get("flagged", 0)))
 
 
 def build_saia3_map(resolution: int = 600, h_max: float = 6.0) -> SAIA3Map:
@@ -136,18 +230,17 @@ def build_saia3_map(resolution: int = 600, h_max: float = 6.0) -> SAIA3Map:
         resolution: Number of grid nodes, at least 100.
         h_max: Upper end of the tabulated step-size range.
 
-    Infeasible nodes (no admissible kick coefficient) inherit the last
-    feasible value and are counted in ``n_flagged``.
+    Nodes that are infeasible (no admissible kick coefficient) or whose
+    minimizer sits at an edge of the search bounds are flagged, take values
+    interpolated from the feasible nodes (the last feasible value, for the
+    tail) and are counted in ``n_flagged``.
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100 nodes")
     h_grid = np.linspace(h_max / resolution, h_max, resolution)
-    b_opt = np.empty(resolution)
-    flagged = np.zeros(resolution, dtype=bool)
-    for i, h in enumerate(h_grid):
-        b, bad = _node_b_opt(h)
-        b_opt[i] = b
-        flagged[i] = bad
+    b_opt, worst = _minimax_b(h_grid)
+    at_edge = (b_opt - _B_BOUNDS[0] < 1e-6) | (_B_BOUNDS[1] - b_opt < 1e-6)
+    flagged = ~(worst < _INFEASIBLE) | at_edge
     good = ~flagged
     if not np.any(good):
         raise RuntimeError("no feasible nodes in the requested range")
@@ -171,12 +264,14 @@ def default_map() -> SAIA3Map:
     if path.exists():
         try:
             return SAIA3Map.load(path)
-        except (ValueError, IndexError):
-            pass  # stale or corrupt cache, rebuild below
+        except ValueError as exc:
+            _log.warning("rebuilding the saia3 map: rejected cache file: %s", exc)
+    start = time.perf_counter()
     m = build_saia3_map()
+    _log.info("built the %d-node saia3 map in %.2f s for %s", len(m.h_grid),
+              time.perf_counter() - start, path)
     try:
         m.save(path)
-    except OSError:
-        pass  # read-only cache location; keep the in-memory map
+    except OSError as exc:
+        _log.warning("keeping the saia3 map in memory only: %s", exc)
     return m
-

@@ -10,6 +10,20 @@ from ghmctune.models import gaussian_model  # noqa: E402
 from ghmctune.saia import default_map  # noqa: E402
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _private_map_cache(tmp_path_factory):
+    """Build the coefficient map into a session directory, never a user cache.
+
+    Set before the first ``default_map()`` call; demos run as subprocesses
+    inherit it.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GHMCTUNE_CACHE", str(tmp_path_factory.mktemp("ghmctune-cache")))
+        default_map.cache_clear()
+        yield
+        default_map.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def saia_map():
     return default_map()

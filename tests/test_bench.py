@@ -439,6 +439,22 @@ class TestCli:
         assert "phi rule" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_report_of_other_dimension_exits_before_output(self, tmp_path,
+                                                            capsys):
+        tuned = tmp_path / "tuned"
+        assert main(["tune", "--benchmark", "gauss-4", "--n-burnin", "200",
+                     "--seed", "1", "--out-dir", str(tuned)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "never"
+        code = main(["sample", "--benchmark", "gauss-50", "--n-prod", "100",
+                     "--n-chains", "1", "--seed", "1",
+                     "--report", str(tuned / "tuning_report.json"),
+                     "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "dimension 4" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("integrator", [[], ["--integrator", "vv"]])
     @pytest.mark.parametrize("flags,name", [
         (["--dt-fixed", "0"], "dt_fixed"),

@@ -19,6 +19,46 @@ def _worst(h, b, n=400):
     return float(np.max(rho3_grid(hs, b)))
 
 
+def _reference_map(resolution=600, h_max=6.0):
+    """Frozen per-node build: one scalar bounded Brent solve per node."""
+    from scipy.optimize import minimize_scalar
+
+    def worst_bound(h, b):
+        top = _worst(h, b)
+        return top if np.isfinite(top) else 1e300
+
+    lo, hi = 0.02, 0.2499
+    h_grid = np.linspace(h_max / resolution, h_max, resolution)
+    b_opt = np.empty(resolution)
+    flagged = np.zeros(resolution, dtype=bool)
+    for i, h in enumerate(h_grid):
+        res = minimize_scalar(lambda b: worst_bound(h, b), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-12})
+        b = float(res.x)
+        feasible = worst_bound(h, b) < 1e300
+        at_edge = (b - lo < 1e-6) or (hi - b < 1e-6)
+        b_opt[i], flagged[i] = b, not (feasible and not at_edge)
+    good = ~flagged
+    b_opt[flagged] = np.interp(h_grid[flagged], h_grid[good], b_opt[good])
+    return SAIA3Map(h_grid, b_opt, three_stage_a(b_opt), int(flagged.sum()))
+
+
+class TestExactness:
+    """The lock-step build is bit-identical to per-node scalar solves."""
+
+    @pytest.mark.parametrize("kwargs", [{}, {"resolution": 100},
+                                        {"resolution": 150, "h_max": 4.5}],
+                             ids=["default", "res100", "hmax4.5"])
+    def test_matches_per_node_reference(self, tmp_path, kwargs):
+        ref, new = _reference_map(**kwargs), build_saia3_map(**kwargs)
+        for field in ("h_grid", "b_opt", "a_opt"):
+            assert np.array_equal(getattr(new, field), getattr(ref, field)), field
+        assert new.n_flagged == ref.n_flagged
+        ref.save(tmp_path / "ref.txt")
+        new.save(tmp_path / "new.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
 class TestMapConstruction:
     def test_kick_coefficients_in_range(self, saia_map):
         assert np.all(saia_map.b_opt > 0.0)
@@ -72,10 +112,10 @@ class TestMapEvaluation:
 
     def test_interpolation_consistency(self, saia_map):
         # linear interpolation error is far below tuning-interval widths
-        from ghmctune.saia import _node_b_opt
+        from ghmctune.saia import _minimax_b
 
-        for h in (H_LOWER, 2.5386, 2.95):
-            b_node, _ = _node_b_opt(h)
+        hs = np.array([H_LOWER, 2.5386, 2.95])
+        for h, b_node in zip(hs, _minimax_b(hs)[0]):
             b_map, _ = saia_map.coefficients(h)
             assert b_map == pytest.approx(b_node, abs=1e-5)
 
@@ -151,3 +191,69 @@ class TestPersistence:
         with pytest.raises(ValueError):
             SAIA3Map.load(path)
 
+
+    def test_load_rejects_truncated_file(self, tmp_path, saia_map):
+        path = tmp_path / "map.txt"
+        saia_map.save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3 + 200]))  # cut at a line boundary
+        with pytest.raises(ValueError, match="200 data rows"):
+            SAIA3Map.load(path)
+
+    def test_default_map_rebuilds_truncated_cache(self, tmp_path, monkeypatch,
+                                                  saia_map, caplog):
+        from ghmctune import saia
+
+        path = tmp_path / "saia3_map_600.txt"
+        saia_map.save(path)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:203]))
+        monkeypatch.setenv("GHMCTUNE_CACHE", str(tmp_path))
+        saia.default_map.cache_clear()
+        try:
+            with caplog.at_level("INFO", logger="ghmctune.saia"):
+                rebuilt = saia.default_map()
+        finally:
+            saia.default_map.cache_clear()
+        assert np.array_equal(rebuilt.b_opt, saia_map.b_opt)
+        assert np.array_equal(SAIA3Map.load(path).b_opt, saia_map.b_opt)
+        levels = [(r.levelname, r.getMessage()) for r in caplog.records]
+        assert levels[0][0] == "WARNING" and "rejected" in levels[0][1]
+        assert levels[1][0] == "INFO" and "600-node" in levels[1][1]
+        assert str(path) in levels[1][1]
+
+    def test_default_map_warns_when_cache_is_not_writable(self, tmp_path,
+                                                          monkeypatch, saia_map,
+                                                          caplog):
+        from ghmctune import saia
+
+        def refuse(self, path):
+            raise PermissionError(f"read-only: {path}")
+
+        monkeypatch.setenv("GHMCTUNE_CACHE", str(tmp_path))
+        monkeypatch.setattr(saia, "build_saia3_map", lambda: saia_map)
+        monkeypatch.setattr(SAIA3Map, "save", refuse)
+        saia.default_map.cache_clear()
+        try:
+            with caplog.at_level("INFO", logger="ghmctune.saia"):
+                assert saia.default_map() is saia_map
+        finally:
+            saia.default_map.cache_clear()
+        assert [r.levelname for r in caplog.records] == ["INFO", "WARNING"]
+        assert "read-only" in caplog.records[1].getMessage()
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch, saia_map):
+        from ghmctune import saia
+
+        path = tmp_path / "map.txt"
+        saia_map.save(path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(saia.os, "replace", fail)
+        with pytest.raises(OSError):
+            SAIA3Map(saia_map.h_grid[:100], saia_map.b_opt[:100],
+                     saia_map.a_opt[:100]).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["map.txt"]
