@@ -11,7 +11,7 @@ import numpy as np
 
 from ghmctune.models import gaussian_model, gen_wishart_precision
 from ghmctune.samplers import run_chain
-from ghmctune.tuning import atune, phi_interval
+from ghmctune.tuning import atune, config_from_report, phi_interval
 
 D = 25
 SEED = 7
@@ -24,7 +24,8 @@ print(f"frequency range: [{omegas.min():.3f}, {omegas.max():.3f}], "
       f"std {omegas.std():.3f}")
 
 print("\n=== burn-in + analysis ===")
-report, config, stats = atune(model, mode="ghmc", n_burnin=1500, seed=SEED)
+report, stats = atune(model, mode="ghmc", n_burnin=1500, seed=SEED)
+config = config_from_report(report)
 print(f"burn-in acceptance rate:     {stats.ar:.3f}")
 print(f"final burn-in step size:     {stats.dt_vv:.5f}")
 print(f"mean |dH| in the window:     {stats.energy_error:.4f}")

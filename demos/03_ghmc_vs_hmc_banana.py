@@ -11,13 +11,14 @@ import numpy as np
 from ghmctune.diagnostics import ChainSet, diagnose, ref_metric
 from ghmctune.models import banana_model, make_banana_spec
 from ghmctune.samplers import Fixed, SamplerConfig, UniformIntRange, run_chain
-from ghmctune.tuning import atune
+from ghmctune.tuning import atune, config_from_report
 
 SEED = 1
 model = banana_model(make_banana_spec(100, seed=SEED))
 print("target: banana posterior, D = 2, 100 observations")
 
-report, ghmc_config, stats = atune(model, mode="ghmc", n_burnin=2000, seed=SEED)
+report, stats = atune(model, mode="ghmc", n_burnin=2000, seed=SEED)
+ghmc_config = config_from_report(report)
 print(f"\ntuned settings: S_f={report.s_f:.3f}, "
       f"dt in ({report.dt_lower:.4f}, {report.dt_colsi:.4f}), "
       f"phi in ({report.phi_lower:.4f}, {report.phi_upper:.4f}), "

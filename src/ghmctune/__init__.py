@@ -72,7 +72,6 @@ from .diagnostics import (
     diagnose,
     ess_univariate,
     find_n_conv,
-    grad_per_ess,
     multi_ess,
     psrf,
     ref_metric,

@@ -48,7 +48,7 @@ from .diagnostics import (
     diagnose,
     ref_metric,
 )
-from .integrators import H_LOWER, SCHEME_NAMES, build_scheme, scheme_key
+from .integrators import H_COLSI3, H_LOWER, SCHEME_NAMES, build_scheme, scheme_key
 from .models import (
     TargetModel,
     banana_model,
@@ -141,6 +141,13 @@ class RunConfig:
     def __post_init__(self):
         if self.n_prod < 1 or self.n_chains < 1:
             raise ConfigError("n_prod and n_chains must be at least 1")
+        if self.n_burnin < 100:
+            raise ConfigError(f"n_burnin={self.n_burnin}: the burn-in needs at "
+                              "least 100 iterations")
+        if not 0.0 < self.ar_target < 1.0:
+            raise ConfigError(f"ar_target={self.ar_target}: must lie in (0, 1)")
+        if not 0.0 < self.h_lower < H_COLSI3:
+            raise ConfigError(f"h_lower={self.h_lower}: must lie in (0, {H_COLSI3:g})")
         if self.mode not in ("hmc", "ghmc"):
             raise ConfigError("mode must be 'hmc' or 'ghmc'")
         if self.mode == "hmc" and (self.phi_fixed not in (None, 1.0)
@@ -239,10 +246,6 @@ class RunArtifacts:
     record_paths: list
     tuning_report_path: Optional[Path] = None
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.out_dir / "manifest.json"
-
 
 # ---------------------------------------------------------------------------
 # Persistence
@@ -271,9 +274,6 @@ def _write_chain(path: Path, samples: np.ndarray, binary: bool) -> Path:
 def _read_chain(path: Path) -> np.ndarray:
     if path.suffix == ".npy":
         return np.load(path, allow_pickle=False)
-    if path.suffix == ".npz":  # compressed chains of older run directories
-        with np.load(path) as data:
-            return data["samples"]
     return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
 
 
@@ -404,12 +404,11 @@ def cmd_tune(config: RunConfig, out_dir: Optional[Path] = None) -> TuningReport:
     """Run the burn-in and analysis, write tuning_report.json, return it."""
     model = resolve_benchmark(config)
     t0 = time.perf_counter()
-    report, _, _ = atune(
+    report, _ = atune(
         model,
         mode=config.mode,
         n_burnin=config.n_burnin,
         target_ar=config.ar_target,
-        collect_freq=model.has_hessian,
         fitting_mode=config.fitting_mode,
         seed=config.seed,
         h_lower=config.h_lower,
@@ -581,11 +580,8 @@ def cmd_sensitivity(config: RunConfig, deltas: Sequence[float] = (-0.05, 0.0, 0.
     rows = []
     base_out = config.resolved_out_dir()
     for delta in deltas:
-        perturbed = config.h_lower * (1.0 + delta)
-        if not 0.0 < perturbed < 3.0:
-            raise ConfigError(f"delta {delta} pushes h_lower outside (0, 3)")
         sub = RunConfig(**{**config.to_dict(),
-                           "h_lower": perturbed,
+                           "h_lower": config.h_lower * (1.0 + delta),
                            "out_dir": str(base_out / f"hlower{delta:+.3f}")})
         cmd_sample(sub, workers=workers)
         rep = cmd_diagnose(sub.resolved_out_dir())

@@ -28,7 +28,7 @@ from .bench import (
 )
 from .diagnostics import DiagnosticsError
 from .integrators import OutOfStabilityError
-from .models import DatasetError, EvaluationError
+from .models import DatasetError
 from .tuning import TuningError, TuningReport
 
 EXIT_OK = 0
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OutOfStabilityError, TuningError, DiagnosticsError,
-            EvaluationError, FloatingPointError) as exc:
+            FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -39,7 +39,6 @@ __all__ = [
     "psrf",
     "find_n_conv",
     "default_window",
-    "grad_per_ess",
     "ref_metric",
     "diagnose",
 ]
@@ -299,20 +298,6 @@ def find_n_conv(chains: np.ndarray, threshold: float = 1.01,
 def default_window(dimension: int) -> int:
     """Post-convergence metric window: 1000, or 2000 for dimension >= 2000."""
     return 2000 if dimension >= 2000 else 1000
-
-
-def grad_per_ess(n_conv: int, window: int, mean_l: float, stages: int,
-                 ess_min: float, ess_mean: float, ess_multi: float) -> dict:
-    """grad = (N_conv + window) * mean_L * k and its ratio to each ESS flavour."""
-    if min(ess_min, ess_mean, ess_multi) <= 0:
-        raise DiagnosticsError("ESS values must be positive")
-    grad = (n_conv + window) * mean_l * stages
-    return {
-        "grad": grad,
-        "grad_per_min_ess": grad / ess_min,
-        "grad_per_mean_ess": grad / ess_mean,
-        "grad_per_multi_ess": grad / ess_multi,
-    }
 
 
 def ref_metric(metric_sampler1: float, metric_sampler2: float) -> float:

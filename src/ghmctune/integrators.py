@@ -54,7 +54,6 @@ __all__ = [
     "energy_error_bound",
     "expected_energy_error_vv",
     "rho3",
-    "rho3_domain_ok",
     "find_h_lower",
     "rotation_angle",
     "lambda_k",
@@ -333,16 +332,6 @@ def _rho3_closed_form(h, b):
     with np.errstate(divide="ignore", invalid="ignore"):
         val = h2 * h2 * s * s / (2.0 * f1 * f2 * f3)
     return val, ok
-
-
-def rho3_domain_ok(h: float, b: float) -> bool:
-    """True inside the admissible region of rho3.
-
-    On the branch connected to h -> 0 the three denominator factors keep
-    fixed signs (negative, positive, negative), so their product, and with
-    it the bound, stays positive.
-    """
-    return bool(_rho3_closed_form(h, b)[1])
 
 
 def rho3(h: float, b: float) -> float:

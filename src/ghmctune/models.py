@@ -28,17 +28,10 @@ from scipy.linalg import solve_triangular
 
 __all__ = [
     "DatasetError",
-    "EvaluationError",
     "TargetModel",
     "GaussianSpec",
     "BlrDataset",
     "BananaSpec",
-    "BLR_PRIOR_PRESETS",
-    "potential_energy",
-    "gradient",
-    "hessian",
-    "finite_difference_gradient",
-    "finite_difference_hessian",
     "gaussian_model",
     "gen_wishart_precision",
     "blr_model",
@@ -46,22 +39,7 @@ __all__ = [
     "make_banana_spec",
     "make_synthetic_blr",
     "load_dataset",
-    "save_dataset",
-    "model_from_potential",
 ]
-
-# Central-difference step scale: cbrt(machine eps) balances truncation and
-# round-off error for second-order differences.
-_FD_STEP = float(np.cbrt(np.finfo(float).eps))
-
-# Gaussian prior std presets for logistic regression (informative, weakly
-# informative, low informative).
-BLR_PRIOR_PRESETS = {"informative": 1.0, "weak": 2.5, "low": 5.0}
-
-
-class EvaluationError(RuntimeError):
-    """A model evaluation produced a non-finite result."""
-
 
 class DatasetError(ValueError):
     """A dataset file violates the expected format."""
@@ -92,90 +70,6 @@ class TargetModel:
     @property
     def has_hessian(self) -> bool:
         return self.hessian is not None
-
-
-def potential_energy(model: TargetModel, theta: np.ndarray) -> float:
-    """Evaluate U(theta), raising ``EvaluationError`` on overflow.
-
-    The returned value is never silently clamped; logistic likelihoods and
-    similar models can overflow for extreme parameter values and the caller
-    must see that.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.dimension,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({model.dimension},)")
-    u = float(model.potential(theta))
-    if not math.isfinite(u):
-        raise EvaluationError(f"potential of model '{model.name}' is non-finite ({u})")
-    return u
-
-
-def gradient(model: TargetModel, theta: np.ndarray) -> np.ndarray:
-    """Evaluate grad U(theta), reporting indices of non-finite components."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.dimension,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({model.dimension},)")
-    g = np.asarray(model.gradient(theta), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(g))
-    if bad.size:
-        raise EvaluationError(
-            f"gradient of model '{model.name}' is non-finite at components {bad.tolist()}"
-        )
-    return g
-
-
-def hessian(model: TargetModel, theta: np.ndarray) -> np.ndarray:
-    """Evaluate the Hessian of U, or raise for potential-only models."""
-    if model.hessian is None:
-        raise EvaluationError(f"model '{model.name}' does not support Hessian evaluation")
-    theta = np.asarray(theta, dtype=float)
-    h = np.asarray(model.hessian(theta), dtype=float)
-    if not np.all(np.isfinite(h)):
-        raise EvaluationError(f"Hessian of model '{model.name}' is non-finite")
-    return h
-
-
-def finite_difference_gradient(potential: Callable[[np.ndarray], float],
-                               theta: np.ndarray) -> np.ndarray:
-    """Central-difference gradient with per-component step cbrt(eps)*max(1, |theta_i|)."""
-    theta = np.asarray(theta, dtype=float)
-    g = np.empty_like(theta)
-    for i in range(theta.size):
-        step = _FD_STEP * max(1.0, abs(theta[i]))
-        tp = theta.copy()
-        tm = theta.copy()
-        tp[i] += step
-        tm[i] -= step
-        g[i] = (potential(tp) - potential(tm)) / (2.0 * step)
-    return g
-
-
-def finite_difference_hessian(grad: Callable[[np.ndarray], np.ndarray],
-                              theta: np.ndarray) -> np.ndarray:
-    """Central differences of a gradient; symmetrised on return."""
-    theta = np.asarray(theta, dtype=float)
-    d = theta.size
-    h = np.empty((d, d))
-    for i in range(d):
-        step = _FD_STEP * max(1.0, abs(theta[i]))
-        tp = theta.copy()
-        tm = theta.copy()
-        tp[i] += step
-        tm[i] -= step
-        h[i] = (np.asarray(grad(tp)) - np.asarray(grad(tm))) / (2.0 * step)
-    return 0.5 * (h + h.T)
-
-
-def model_from_potential(potential: Callable[[np.ndarray], float], dimension: int,
-                         name: str = "custom") -> TargetModel:
-    """Wrap a bare potential; the gradient falls back to central differences."""
-    return TargetModel(
-        dimension=dimension,
-        potential=potential,
-        gradient=lambda th: finite_difference_gradient(potential, th),
-        hessian=None,
-        name=name,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +205,7 @@ def blr_model(dataset: BlrDataset, prior_std: float = 10.0,
 
     where z_k are rows of the design matrix.  log(1 + exp(.)) is evaluated
     through logaddexp, so the potential stays finite for any theta reachable
-    in practice; genuine overflow surfaces as EvaluationError upstream.
+    in practice.
     """
     if prior_std <= 0:
         raise ValueError("prior_std must be positive")
@@ -349,15 +243,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_synthetic_blr(dimension: int, n_observations: int, seed: int,
-                       separable: bool = False) -> BlrDataset:
+def make_synthetic_blr(dimension: int, n_observations: int, seed: int) -> BlrDataset:
     """Generate a synthetic logistic-regression dataset of given shape.
 
     ``dimension`` counts coefficients including the intercept, matching the
-    convention of the benchmark tables.  With ``separable`` the labels are a
-    deterministic threshold of the linear predictor, which makes the maximum
-    likelihood estimate diverge and leaves the posterior proper only through
-    the prior.
+    convention of the benchmark tables.
     """
     if dimension < 2:
         raise ValueError("need dimension >= 2 (intercept plus one covariate)")
@@ -366,40 +256,31 @@ def make_synthetic_blr(dimension: int, n_observations: int, seed: int,
     w = rng.standard_normal(dimension - 1)
     w /= np.linalg.norm(w)
     eta = x @ w
-    if separable:
-        y = (eta > 0).astype(float)
-    else:
-        y = (rng.random(n_observations) < _sigmoid(2.0 * eta)).astype(float)
+    y = (rng.random(n_observations) < _sigmoid(2.0 * eta)).astype(float)
     return BlrDataset(x, y, intercept=True)
 
 
-def load_dataset(path: str | Path, delimiter: Optional[str] = None,
-                 header: bool = False, intercept: bool = True) -> BlrDataset:
+def load_dataset(path: str | Path) -> BlrDataset:
     """Parse a delimiter-separated dataset, binary label in the last column.
 
-    Args:
-        path: File to read.
-        delimiter: Column separator; ``None`` autodetects comma versus
-            whitespace from the first data line.
-        header: Skip the first line.
-        intercept: Include an intercept coefficient in the model dimension.
+    The separator is autodetected: whitespace, until a data line holds a
+    comma, then comma.  The model gets an intercept coefficient.
 
     Raises:
         DatasetError: On parse failures (with the offending line number),
             ragged rows, or labels outside {0, 1}.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    start = 1 if header else 0
     rows = []
     width = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    delimiter = None
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         if delimiter is None:
             delimiter = "," if "," in line else None  # None -> whitespace split
-        parts = line.split(delimiter) if delimiter else line.split()
+        parts = line.split(delimiter)
         try:
             row = [float(p) for p in parts]
         except ValueError as exc:
@@ -417,17 +298,9 @@ def load_dataset(path: str | Path, delimiter: Optional[str] = None,
         raise DatasetError(f"{path}: no data rows")
     data = np.asarray(rows)
     try:
-        return BlrDataset(data[:, :-1], data[:, -1], intercept=intercept)
+        return BlrDataset(data[:, :-1], data[:, -1])
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}")
-
-
-def save_dataset(dataset: BlrDataset, path: str | Path, delimiter: str = ",") -> None:
-    """Write covariates plus label column; inverse of :func:`load_dataset`."""
-    data = np.hstack([dataset.x, dataset.y[:, None]])
-    with open(path, "w") as fh:
-        for row in data:
-            fh.write(delimiter.join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +325,11 @@ class BananaSpec:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
 
 
-def make_banana_spec(n_observations: int = 100, seed: int = 0,
-                     prior_var: float = 1.0, obs_var: float = 2.0) -> BananaSpec:
-    """Benchmark data: y ~ N(1, obs_var), defaults prior_var=1, obs_var=2."""
+def make_banana_spec(n_observations: int = 100, seed: int = 0) -> BananaSpec:
+    """Benchmark data: prior variance 1 and y ~ N(1, 2)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    y = 1.0 + math.sqrt(obs_var) * rng.standard_normal(n_observations)
-    return BananaSpec(prior_var, y, obs_var)
+    y = 1.0 + math.sqrt(2.0) * rng.standard_normal(n_observations)
+    return BananaSpec(1.0, y, 2.0)
 
 
 def banana_model(spec: BananaSpec, name: str = "banana") -> TargetModel:

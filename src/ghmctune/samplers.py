@@ -314,8 +314,8 @@ def ghmc_iteration(state: ChainState, dt: float, config: SamplerConfig, model,
     adopted as-is; on rejection the position is kept and the momentum
     negated.  ``state`` is updated in place and the iteration's record is
     written to row ``i`` of ``records``.  The proposal charges L * k fresh
-    gradient evaluations (end-kicks merged within the leg; the leading kick
-    reuses the gradient cached in the state).
+    gradient evaluations (touching end-kicks of consecutive steps share one;
+    the leading kick reuses the gradient cached in the state).
     """
     n_steps = int(config.l_rule.draw(rng))
     phi = float(config.phi_rule.draw(rng))

@@ -140,7 +140,6 @@ def adapt_step_size(ar_estimate: float, dt: float, target_ar: float,
 
 def run_burnin(model, n_burnin: int, mode: str = "ghmc",
                target_ar: float = _AR_TARGET_DEFAULT,
-               collect_freq: bool = False,
                seed: int = 0,
                h_lower: float = H_LOWER):
     """Run the adaptation burn-in and collect tuning statistics.
@@ -151,7 +150,8 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
     momentum refresh noise is drawn from the dimension-derived interval (it
     needs nothing besides D, so it is available before the burn-in starts).
     The acceptance rate and mean |dH| are measured over the second half of
-    the run, after the step-size adaptation has mostly settled.
+    the run, after the step-size adaptation has mostly settled; so are the
+    Hessian eigenfrequencies, for models that have a Hessian.
 
     Returns:
         (stats, samples): BurninStats plus the burn-in positions, shape
@@ -217,7 +217,7 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
     dt_vv = dt
 
     n_clamped = 0
-    if collect_freq and model.has_hessian:
+    if model.has_hessian:
         omegas, omega_max, omega_std, n_clamped = collect_frequencies(
             model, samples[half:])
     else:
@@ -486,19 +486,16 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc",
                      fitting_mode: str = "auto",
                      seed: int = 0,
                      h_lower: float = H_LOWER):
-    """Assemble the tuning report and a ready-to-run sampler configuration.
+    """Assemble the tuning report; ``config_from_report`` builds its config.
 
     Args:
         stats: Burn-in statistics.
         mode: "ghmc" or "hmc"; HMC omits the refresh-noise interval.
         fitting_mode: "s_omega", "s", or "auto" (spectrum-based when
             available).
-        seed: Root seed stored in the sampler configuration.
+        seed: Root seed of the production chains, stored in the report.
         h_lower: Lower endpoint of the dimensionless step interval
             (perturbed by the sensitivity harness, 2.0772 otherwise).
-
-    Returns:
-        (TuningReport, SamplerConfig)
     """
     if fitting_mode == "auto":
         fitting_mode = "s_omega" if stats.has_frequencies else "s"
@@ -512,7 +509,7 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc",
     else:
         raise ValueError("mode must be 'hmc' or 'ghmc'")
     rule = l_scheme(s_f)
-    report = TuningReport(
+    return TuningReport(
         mode=mode,
         dimension=stats.dimension,
         fitting_mode=fitting_mode,
@@ -531,12 +528,10 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc",
         burnin_iterations=stats.n_iterations,
         seed=seed,
     )
-    config = config_from_report(report)
-    return report, config
 
 
 def config_from_report(report: TuningReport) -> SamplerConfig:
-    """Rebuild a production sampler configuration from a serialized report."""
+    """The production sampler configuration of a tuning report."""
     if report.mode == "ghmc":
         if report.phi_lower == report.phi_upper:
             phi_rule = Fixed(report.phi_lower)
@@ -555,16 +550,16 @@ def config_from_report(report: TuningReport) -> SamplerConfig:
 
 
 def atune(model, mode: str = "ghmc", n_burnin: int = 1000,
-          target_ar: float = _AR_TARGET_DEFAULT, collect_freq: bool = True,
+          target_ar: float = _AR_TARGET_DEFAULT,
           fitting_mode: str = "auto", seed: int = 0,
           h_lower: float = H_LOWER):
     """Burn-in plus analysis in one call.
 
     Returns:
-        (TuningReport, SamplerConfig, BurninStats)
+        (TuningReport, BurninStats)
     """
     stats, _ = run_burnin(model, n_burnin, mode=mode, target_ar=target_ar,
-                          collect_freq=collect_freq, seed=seed, h_lower=h_lower)
-    report, config = produce_settings(stats, mode=mode, fitting_mode=fitting_mode,
-                                      seed=seed, h_lower=h_lower)
-    return report, config, stats
+                          seed=seed, h_lower=h_lower)
+    report = produce_settings(stats, mode=mode, fitting_mode=fitting_mode,
+                              seed=seed, h_lower=h_lower)
+    return report, stats

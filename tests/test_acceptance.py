@@ -48,6 +48,7 @@ from ghmctune.samplers import (
 )
 from ghmctune.tuning import (
     atune,
+    config_from_report,
     l_candidates_from_eta,
     phi_interval,
     stepsize_interval,
@@ -92,7 +93,7 @@ def test_criterion_03_stepsize_ratio():
     # reports across models and fitting factors
     for dim, seed in ((6, 1), (20, 2), (100, 0)):
         model = gaussian_model(gen_wishart_precision(dim, seed=seed))
-        report, _, _ = atune(model, mode="ghmc", n_burnin=400, seed=seed)
+        report, _ = atune(model, mode="ghmc", n_burnin=400, seed=seed)
         ratio = report.dt_colsi / report.dt_lower
         ok &= abs(ratio - 3.0 / 2.0772) <= 1e-9
         details.append(f"D={dim}: ratio={ratio:.12f}")
@@ -227,8 +228,8 @@ def test_criterion_08_desk_scale_replication():
     for seed in range(5):
         spec = gen_wishart_precision(100, seed=seed)
         model = gaussian_model(spec, name="g100")
-        report, config, _ = atune(model, mode="ghmc", n_burnin=1500,
-                                  seed=seed)
+        report, _ = atune(model, mode="ghmc", n_burnin=1500, seed=seed)
+        config = config_from_report(report)
         inits = sample_gaussian(spec, 4, chain_rng(seed, 10_000))
 
         def run_set(cfg, n_iter):

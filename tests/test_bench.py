@@ -75,7 +75,9 @@ class TestRunConfig:
     @pytest.mark.parametrize("field,value", [
         ("dt_fixed", 0.0), ("dt_fixed", -0.1), ("dt_interval", (0.5, 0.1)),
         ("l_fixed", 0), ("l_range", (0, 3)), ("l_range", ("a", 3)),
-        ("l_choices", (0, 2)), ("phi_fixed", 1.5), ("phi_interval", (0.2, 1.5))])
+        ("l_choices", (0, 2)), ("phi_fixed", 1.5), ("phi_interval", (0.2, 1.5)),
+        ("n_burnin", 50), ("ar_target", 1.5), ("ar_target", 0.0),
+        ("h_lower", 5.0), ("h_lower", 0.0)])
     def test_out_of_range_override_rejected(self, tmp_path, field, value):
         with pytest.raises(ConfigError, match=field):
             _small_config(tmp_path, **{field: value})
@@ -235,7 +237,7 @@ class TestCommands:
         report = cmd_tune(config)
         assert (Path(config.out_dir) / "tuning_report.json").exists()
         artifacts = cmd_sample(config, report=report)
-        manifest = json.loads(artifacts.manifest_path.read_text())
+        manifest = json.loads((artifacts.out_dir / "manifest.json").read_text())
         assert manifest["config_hash"] == config.hash()
         assert len(manifest["chain_files"]) == 2
         diag = cmd_diagnose(config.out_dir, window=100)
@@ -282,25 +284,6 @@ class TestCommands:
         for rep in (rep_npy, rep_csv):
             rep.pop("wall_seconds")  # each run's own sampling time
         assert json.dumps(rep_npy, sort_keys=True) == json.dumps(rep_csv, sort_keys=True)
-
-    def test_legacy_npz_run_still_diagnoses(self, tmp_path):
-        config = _small_config(tmp_path, binary_chains=False)
-        cmd_sample(config)
-        want = load_chain_set(config.out_dir)
-        # rewrite the chains the way compressed binary runs used to be stored
-        out = Path(config.out_dir)
-        manifest = json.loads((out / "manifest.json").read_text())
-        for i, name in enumerate(manifest["chain_files"]):
-            npz = Path(name).with_suffix(".npz")
-            np.savez_compressed(out / npz, samples=want.samples[i])
-            (out / name).unlink()
-            manifest["chain_files"][i] = str(npz)
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        got = load_chain_set(out)
-        assert got.samples.tobytes() == want.samples.tobytes()
-        assert cmd_diagnose(out, window=100).n_chains == 2
-        assert all(v is None or v == pytest.approx(1.0)
-                   for v in cmd_compare(out, out).values())
 
     def test_manifest_telemetry(self, tmp_path):
         config = _small_config(tmp_path)
@@ -358,7 +341,7 @@ class TestCommands:
                                dt_interval=(0.05, 0.08), l_fixed=3,
                                out_dir=str(tmp_path / "ovr"))
         artifacts = cmd_sample(config)
-        manifest = json.loads(artifacts.manifest_path.read_text())
+        manifest = json.loads((artifacts.out_dir / "manifest.json").read_text())
         assert manifest["stages"] == 1
         assert manifest["tuning_report"] is None
 
@@ -462,6 +445,9 @@ class TestCli:
         (["--l-fixed", "0"], "l_fixed"),
         (["--l-range", "0,3"], "l_range"),
         (["--phi-fixed", "1.5"], "phi_fixed"),
+        (["--n-burnin", "50"], "n_burnin"),
+        (["--ar-target", "1.5"], "ar_target"),
+        (["--h-lower", "5"], "h_lower"),
         (["--dt-interval", "0.1,x"], "--dt-interval"),
         (["--l-range", "1,x"], "--l-range"),
         (["--l-choices", "2,five"], "--l-choices"),

@@ -15,10 +15,17 @@ from ghmctune.diagnostics import (
     ess_geyer,
     ess_univariate,
     find_n_conv,
-    grad_per_ess,
     multi_ess,
     psrf,
     ref_metric,
+)
+from ghmctune.integrators import build_scheme
+from ghmctune.samplers import (
+    Fixed,
+    SamplerConfig,
+    UniformInterval,
+    UniformIntRange,
+    run_chain,
 )
 
 
@@ -158,27 +165,23 @@ class TestFindNConv:
 
 
 class TestGradPerEss:
-    def test_arithmetic(self):
-        out = grad_per_ess(200, 1000, 1.0, 3, ess_min=10.0, ess_mean=20.0,
-                           ess_multi=30.0)
-        assert out["grad"] == 3600
-        assert out["grad_per_min_ess"] == pytest.approx(360.0)
-        assert out["grad_per_mean_ess"] == pytest.approx(180.0)
-        assert out["grad_per_multi_ess"] == pytest.approx(120.0)
-
-    def test_linear_in_mean_l(self):
-        a = grad_per_ess(200, 1000, 1.0, 3, 10.0, 20.0, 30.0)
-        b = grad_per_ess(200, 1000, 2.0, 3, 10.0, 20.0, 30.0)
-        for key in ("grad_per_min_ess", "grad_per_mean_ess", "grad_per_multi_ess"):
-            assert b[key] == pytest.approx(2.0 * a[key])
-
     def test_window_default(self):
         assert default_window(100) == 1000
         assert default_window(2000) == 2000
 
-    def test_rejects_nonpositive_ess(self):
-        with pytest.raises(DiagnosticsError):
-            grad_per_ess(10, 100, 1.0, 1, 0.0, 1.0, 1.0)
+    def test_grad_is_the_paper_count(self, std_gauss_2d):
+        # grad = C (N_conv + window) mean_L k, with L drawn per iteration
+        config = SamplerConfig(mode="hmc", dt_rule=UniformInterval(0.05, 0.15),
+                               l_rule=UniformIntRange(1, 9), phi_rule=Fixed(1.0),
+                               scheme=build_scheme("bcss3"), seed=5)
+        runs = [run_chain(std_gauss_2d, config, 600, chain_index=c) for c in range(3)]
+        chain_set = ChainSet(np.stack([s for s, _ in runs]), [r for _, r in runs],
+                             stages=3)
+        report = diagnose(chain_set, threshold=1.1, window=300)
+        assert report.n_conv is not None
+        assert len(set(runs[0][1].n_steps[:report.n_conv + 300])) > 1
+        want = 3 * (report.n_conv + 300) * report.mean_l * report.stages
+        assert report.grad == pytest.approx(want, rel=1e-12)
 
 
 class TestRef:

@@ -22,7 +22,6 @@ from ghmctune.integrators import (
     me2_coefficient,
     me3_coefficient,
     rho3,
-    rho3_domain_ok,
     rho3_grid,
     rotation_angle,
     stability_interval,
@@ -163,7 +162,7 @@ class TestRho3:
         for _ in range(200):
             h = rng.uniform(0.05, 4.5)
             b = rng.uniform(0.05, 0.24)
-            if rho3_domain_ok(h, b):
+            if np.isfinite(rho3_grid(h, b)):
                 assert rho3(h, b) >= 0.0
 
     def test_domain_violation_raises(self):
@@ -177,11 +176,9 @@ class TestRho3:
         assert np.isfinite(grid).any() and np.isinf(grid).any()
         for h, want in zip(hs, grid):
             if np.isfinite(want):
-                assert rho3_domain_ok(h, b)
                 got = rho3(h, b)
                 assert type(got) is float and got == want
             else:
-                assert not rho3_domain_ok(h, b)
                 with pytest.raises(OutOfStabilityError):
                     rho3(h, b)
 
@@ -269,10 +266,11 @@ class TestStability:
         assert 0.0 < h_max <= 6.0
         # bisect the first sign-pattern violation of the bound's denominator
         lo, hi = 4.0, 5.0
-        assert rho3_domain_ok(lo, B_BCSS3) and not rho3_domain_ok(hi, B_BCSS3)
+        assert np.isfinite(rho3_grid(lo, B_BCSS3))
+        assert not np.isfinite(rho3_grid(hi, B_BCSS3))
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            if rho3_domain_ok(mid, B_BCSS3):
+            if np.isfinite(rho3_grid(mid, B_BCSS3)):
                 lo = mid
             else:
                 hi = mid

@@ -61,21 +61,20 @@ class TestAdaptStepSize:
 class TestRunBurnin:
     def test_unit_gaussian_frequencies(self):
         model = gaussian_model(np.eye(8))
-        stats, _ = run_burnin(model, 600, mode="ghmc", collect_freq=True, seed=1)
+        stats, _ = run_burnin(model, 600, mode="ghmc", seed=1)
         assert stats.omegas == pytest.approx(np.ones(8), abs=1e-12)
         assert stats.omega_std == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic(self):
         model = gaussian_model(gen_wishart_precision(6, seed=4))
-        a, _ = run_burnin(model, 500, mode="ghmc", collect_freq=True, seed=9)
-        b, _ = run_burnin(model, 500, mode="ghmc", collect_freq=True, seed=9)
+        a, _ = run_burnin(model, 500, mode="ghmc", seed=9)
+        b, _ = run_burnin(model, 500, mode="ghmc", seed=9)
         assert a.ar == b.ar and a.dt_vv == b.dt_vv
         assert np.array_equal(a.omegas, b.omegas)
 
     def test_wishart_100_hits_target_band(self):
         model = gaussian_model(gen_wishart_precision(100, seed=0), name="g100")
-        stats, _ = run_burnin(model, 1500, mode="ghmc", target_ar=0.95,
-                              collect_freq=True, seed=0)
+        stats, _ = run_burnin(model, 1500, mode="ghmc", target_ar=0.95, seed=0)
         assert 0.9 <= stats.ar <= 1.0
 
     def test_minimum_length(self, std_gauss_1d):
@@ -267,27 +266,27 @@ class TestLCandidates:
 
 class TestProduceSettings:
     def test_hmc_report_omits_phi(self):
-        report, config = produce_settings(_stats(), mode="hmc")
+        report = produce_settings(_stats(), mode="hmc")
+        config = config_from_report(report)
         assert report.phi_lower is None and report.phi_upper is None
         assert isinstance(config.phi_rule, Fixed) and config.phi_rule.value == 1.0
 
     def test_ratio_invariant_enforced(self):
-        report, _ = produce_settings(_stats())
+        report = produce_settings(_stats())
         assert report.dt_colsi / report.dt_lower == pytest.approx(3.0 / H_LOWER,
                                                                   abs=1e-9)
 
     def test_unit_frequency_pipeline(self):
         # identity-precision target: CF = S_f * 1, interval = (2.0772, 3)/S_f
         model = gaussian_model(np.eye(100), name="i100")
-        report, config, stats = atune(model, mode="ghmc", n_burnin=800,
-                                      seed=13)
+        report, stats = atune(model, mode="ghmc", n_burnin=800, seed=13)
         assert stats.omega_max == pytest.approx(1.0, abs=1e-9)
         assert report.cf == pytest.approx(report.s_f, rel=1e-12)
         assert report.dt_lower == pytest.approx(H_LOWER / report.s_f, rel=1e-12)
         assert report.dt_colsi == pytest.approx(3.0 / report.s_f, rel=1e-12)
 
     def test_report_json_round_trip(self):
-        report, _ = produce_settings(_stats(dimension=40), seed=3)
+        report = produce_settings(_stats(dimension=40), seed=3)
         text = report.to_json()
         again = TuningReport.from_json(text)
         assert again == report
@@ -295,14 +294,15 @@ class TestProduceSettings:
 
     def test_production_steps_stay_in_tuned_window(self):
         model = gaussian_model(gen_wishart_precision(10, seed=6), name="g10")
-        report, config, _ = atune(model, mode="ghmc", n_burnin=600, seed=6)
-        _, records = run_chain(model, config, 300)
+        report, _ = atune(model, mode="ghmc", n_burnin=600, seed=6)
+        _, records = run_chain(model, config_from_report(report), 300)
         h_drawn = report.cf * records.dt
         assert np.all(h_drawn >= H_LOWER - 1e-9)
         assert np.all(h_drawn <= 3.0 + 1e-9)
 
     def test_config_from_report_round_trip(self):
-        report, config = produce_settings(_stats(dimension=30), seed=8)
+        report = produce_settings(_stats(dimension=30), seed=8)
+        config = config_from_report(report)
         rebuilt = config_from_report(TuningReport.from_json(report.to_json()))
         assert isinstance(rebuilt.dt_rule, UniformInterval)
         assert rebuilt.dt_rule == config.dt_rule
