@@ -445,13 +445,13 @@ class TestCli:
         (["--l-fixed", "0"], "l_fixed"),
         (["--l-range", "0,3"], "l_range"),
         (["--phi-fixed", "1.5"], "phi_fixed"),
-        (["--n-burnin", "50"], "n_burnin"),
-        (["--ar-target", "1.5"], "ar_target"),
-        (["--h-lower", "5"], "h_lower"),
         (["--dt-interval", "0.1,x"], "--dt-interval"),
         (["--l-range", "1,x"], "--l-range"),
         (["--l-choices", "2,five"], "--l-choices"),
-        (["--phi-interval", "0.1,y"], "--phi-interval")])
+        (["--phi-interval", "0.1,y"], "--phi-interval"),
+        (["--n-burnin", "50"], "n_burnin"),
+        (["--ar-target", "1.5"], "ar_target"),
+        (["--h-lower", "5"], "h_lower")])
     def test_bad_override_exits_before_output(self, tmp_path, capsys, flags,
                                               name, integrator):
         # without --integrator the run would tune first
