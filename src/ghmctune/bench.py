@@ -5,7 +5,7 @@ count, iteration budget, seed, and optional overrides of the tuned
 hyperparameters).  The command helpers mirror the CLI subcommands:
 
 * :func:`cmd_tune` runs the burn-in and writes the tuning report,
-* :func:`cmd_sample` runs seeded chains (optionally in parallel) and
+* :func:`cmd_sample` runs seeded chains (in process or in a forked pool) and
   persists samples and records (``.npy`` by default, CSV as the text
   export) and a manifest with timings, gradient counts and environment,
 * :func:`cmd_diagnose` computes convergence/efficiency metrics,
@@ -184,19 +184,12 @@ class RunConfig:
         _override_rules(self)  # range-check the overrides before any output
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        for key, val in data.items():
-            if isinstance(val, tuple):
-                data[key] = list(val)
-        return data
+        return {key: list(val) if isinstance(val, tuple) else val
+                for key, val in asdict(self).items()}
 
     def hash(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
-
-    @staticmethod
-    def from_dict(data: dict) -> "RunConfig":
-        return RunConfig(**data)
 
     def resolved_out_dir(self) -> Path:
         if self.out_dir:
@@ -219,14 +212,9 @@ def resolve_benchmark(config: RunConfig) -> TargetModel:
         spec = gen_wishart_precision(d, seed=config.seed)
         return gaussian_model(spec, name=name)
     m = re.fullmatch(r"blr-synthetic-(\d+)-(\d+)", name)
-    if m:
-        d, k = int(m.group(1)), int(m.group(2))
-        data = make_synthetic_blr(d, k, seed=config.seed)
-        if config.standardize:
-            data = data.standardized()
-        return blr_model(data, prior_std=config.prior_std, name=name)
-    if name == "blr-file":
-        data = load_dataset(config.dataset_path)
+    if m or name == "blr-file":
+        data = (make_synthetic_blr(int(m.group(1)), int(m.group(2)), seed=config.seed)
+                if m else load_dataset(config.dataset_path))
         if config.standardize:
             data = data.standardized()
         return blr_model(data, prior_std=config.prior_std, name=name)
@@ -316,7 +304,7 @@ def load_chain_set(out_dir: str | Path) -> ChainSet:
 
 
 # ---------------------------------------------------------------------------
-# Sampler-config assembly and chain workers
+# Sampler-config assembly and chains
 
 
 # Draw rule of each override field, keyed by the quantity it draws.
@@ -357,7 +345,9 @@ def _build_sampler_config(config: RunConfig,
         rules, scheme = {"l": Fixed(1)}, build_scheme(config.integrator)
     else:
         base = config_from_report(report)
-        rules = {"dt": base.dt_rule, "l": base.l_rule, "phi": base.phi_rule}
+        rules = {"dt": base.dt_rule, "l": base.l_rule}
+        if report.mode == "ghmc":  # an HMC report's phi = 1 is no GHMC rule
+            rules["phi"] = base.phi_rule
         scheme = base.scheme
         if config.integrator not in (None, "saia3"):
             scheme = build_scheme(config.integrator)
@@ -365,35 +355,50 @@ def _build_sampler_config(config: RunConfig,
     if config.mode == "hmc":
         rules["phi"] = Fixed(1.0)
     elif "phi" not in rules:
-        raise ConfigError("GHMC needs a phi rule: tune first or override phi")
+        raise ConfigError("GHMC needs a phi rule: tune in GHMC mode or override phi")
     return SamplerConfig(mode=config.mode, dt_rule=rules["dt"],
                          l_rule=rules["l"], phi_rule=rules["phi"],
                          scheme=scheme, seed=config.seed)
 
 
-def _warm_init(config: RunConfig, chain_index: int) -> np.ndarray:
-    """Exact target draw used as a warm start (gauss benchmarks only).
+def _warm_starts(config: RunConfig) -> list:
+    """Exact target draws used as warm starts, one per chain (gauss only).
 
-    Keyed by (seed, 10000 + chain) so warm starts never collide with the
-    chain streams themselves.
+    Chain c's draw is keyed by (seed, 10000 + c) so warm starts never
+    collide with the chain streams themselves.
     """
     d = int(re.fullmatch(r"gauss-(\d+)", config.benchmark).group(1))
     spec = gen_wishart_precision(d, seed=config.seed)
-    rng = chain_rng(config.seed, 10_000 + chain_index)
-    return sample_gaussian(spec, 1, rng)[0]
+    return [sample_gaussian(spec, 1, chain_rng(config.seed, 10_000 + c))[0]
+            for c in range(config.n_chains)]
 
 
-def _chain_worker(args):
-    config_dict, report_json, chain_index = args
-    config = RunConfig.from_dict(config_dict)
-    report = TuningReport.from_json(report_json) if report_json else None
-    model = resolve_benchmark(config)
-    sampler_config = _build_sampler_config(config, report)
-    initial = _warm_init(config, chain_index) if config.warm_start else None
-    samples, records = run_chain(model, sampler_config, config.n_prod,
-                                 initial_theta=initial,
-                                 chain_index=chain_index)
-    return chain_index, samples, records
+def _pool_context(workers: int):
+    """None for chains in process, else the ``fork`` context of their pool.
+
+    Its workers inherit the resolved model, whose closures cannot be pickled.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers={workers}: must be at least 1")
+    if workers == 1:
+        return None
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError("more than one worker needs the 'fork' start method")
+    return multiprocessing.get_context("fork")
+
+
+# The run a pool worker samples: (model, sampler config, chain length, start
+# point per chain).  Empty in this process; the pool's initializer appends the
+# run to each forked worker's copy.
+_pool_run: list = []
+
+
+def _chain(index: int, run: Optional[tuple] = None):
+    """Chain ``index`` of ``run``, by default of the run a pool worker holds."""
+    model, sampler_config, n_prod, starts = run or _pool_run[0]
+    # looked up at call time, so a wrapper on ghmctune.bench.run_chain sees it
+    return run_chain(model, sampler_config, n_prod, initial_theta=starts[index],
+                     chain_index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +407,11 @@ def _chain_worker(args):
 
 def cmd_tune(config: RunConfig, out_dir: Optional[Path] = None) -> TuningReport:
     """Run the burn-in and analysis, write tuning_report.json, return it."""
-    model = resolve_benchmark(config)
+    return _tune(config, resolve_benchmark(config), out_dir)
+
+
+def _tune(config: RunConfig, model: TargetModel,
+          out_dir: Optional[Path]) -> TuningReport:
     t0 = time.perf_counter()
     report, _ = atune(
         model,
@@ -426,42 +435,45 @@ def cmd_sample(config: RunConfig, report: Optional[TuningReport] = None,
                workers: int = 1) -> RunArtifacts:
     """Run the production chains and persist samples, records and manifest.
 
-    Tunes inline when no report is supplied and the overrides leave the step
-    size or the scheme to one.  Chains execute in parallel across ``workers``
-    processes; results do not depend on the worker count.
+    One model, sampler configuration and set of start points, resolved
+    before any output, serve inline tuning and every chain.  Tunes inline
+    when no report is supplied and the overrides leave the step size or the
+    scheme to one.  ``workers`` > 1 runs the chains in a forked pool that
+    inherits the run; results do not depend on the worker count.
     """
+    pool_context = _pool_context(workers)
+    model = resolve_benchmark(config)
     out = config.resolved_out_dir()
     report_path = None
     if report is None and (config.dt_fixed is None and config.dt_interval is None
                            or config.integrator in (None, "saia3")):
-        report = cmd_tune(config, out_dir=out)
+        report = _tune(config, model, out)
         report_path = out / "tuning_report.json"
-    elif report is not None:
-        dimension = resolve_benchmark(config).dimension
-        if report.dimension != dimension:
-            raise ConfigError(f"the tuning report is for dimension {report.dimension}, "
-                              f"{config.benchmark} has dimension {dimension}")
+    elif report is not None and report.dimension != model.dimension:
+        raise ConfigError(f"the tuning report is for dimension {report.dimension}, "
+                          f"{config.benchmark} has dimension {model.dimension}")
     # without inline tuning, an invalid run is rejected before its directory exists
     sampler_config = _build_sampler_config(config, report)
+    starts = (_warm_starts(config) if config.warm_start
+              else [None] * config.n_chains)
+    run = (model, sampler_config, config.n_prod, starts)
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    tasks = [(config.to_dict(), report.to_json() if report else None, i)
-             for i in range(config.n_chains)]
-    if workers > 1:
-        default_map()  # warm the coefficient cache before forking
-        with multiprocessing.Pool(processes=workers) as pool:
-            results = pool.map(_chain_worker, tasks)
+    if pool_context is None:
+        results = [_chain(i, run) for i in range(config.n_chains)]
     else:
-        results = [_chain_worker(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+        with pool_context.Pool(min(workers, config.n_chains),
+                               initializer=_pool_run.append,
+                               initargs=(run,)) as pool:
+            results = pool.map(_chain, range(config.n_chains))
     sampling_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     chains_dir = out / "chains"
     chains_dir.mkdir(exist_ok=True)
     chain_files, record_files = [], []
-    for index, samples, records in results:
+    for index, (samples, records) in enumerate(results):
         cpath = _write_chain(chains_dir / f"chain_{index:03d}",
                              samples, config.binary_chains)
         rpath = _write_records(chains_dir / f"records_{index:03d}",
@@ -469,7 +481,7 @@ def cmd_sample(config: RunConfig, report: Optional[TuningReport] = None,
         chain_files.append(str(cpath.relative_to(out)))
         record_files.append(str(rpath.relative_to(out)))
     write_seconds = time.perf_counter() - t0
-    total_grads = sum(records.total_grads() for _, _, records in results)
+    total_grads = sum(records.total_grads() for _, records in results)
 
     manifest = {
         "config": config.to_dict(),
@@ -516,7 +528,7 @@ def cmd_diagnose(out_dir: str | Path, statistic: Optional[str] = None,
     manifest = json.loads((out_dir / "manifest.json").read_text())
     overrides = {"psrf_statistic": statistic, "psrf_threshold": threshold,
                  "window": window, "ess_method": ess_method}
-    config = replace(RunConfig.from_dict(manifest["config"]),
+    config = replace(RunConfig(**manifest["config"]),
                      **{k: v for k, v in overrides.items() if v is not None})
     chain_set = load_chain_set(out_dir)
     report = diagnose(
@@ -570,6 +582,9 @@ def _load_or_diagnose(out_dir: str | Path) -> DiagnosticsReport:
     return cmd_diagnose(out_dir)
 
 
+_GRAD_PER_ESS = ("grad_per_min_ess", "grad_per_mean_ess", "grad_per_multi_ess")
+
+
 def cmd_sensitivity(config: RunConfig, deltas: Sequence[float] = (-0.05, 0.0, 0.05),
                     workers: int = 1) -> list[dict]:
     """Re-run tune/sample/diagnose with the interval lower endpoint perturbed.
@@ -580,19 +595,12 @@ def cmd_sensitivity(config: RunConfig, deltas: Sequence[float] = (-0.05, 0.0, 0.
     rows = []
     base_out = config.resolved_out_dir()
     for delta in deltas:
-        sub = RunConfig(**{**config.to_dict(),
-                           "h_lower": config.h_lower * (1.0 + delta),
-                           "out_dir": str(base_out / f"hlower{delta:+.3f}")})
+        sub = replace(config, h_lower=config.h_lower * (1.0 + delta),
+                      out_dir=str(base_out / f"hlower{delta:+.3f}"))
         cmd_sample(sub, workers=workers)
         rep = cmd_diagnose(sub.resolved_out_dir())
-        rows.append({
-            "delta": delta,
-            "h_lower": sub.h_lower,
-            "grad_per_min_ess": rep.grad_per_min_ess,
-            "grad_per_mean_ess": rep.grad_per_mean_ess,
-            "grad_per_multi_ess": rep.grad_per_multi_ess,
-            "n_conv": rep.n_conv,
-        })
+        rows.append({"delta": delta, "h_lower": sub.h_lower,
+                     **{k: getattr(rep, k) for k in (*_GRAD_PER_ESS, "n_conv")}})
     _write_dict_rows(base_out / "sensitivity.csv", rows)
     return rows
 
@@ -606,6 +614,7 @@ def cmd_sweep_phi_l(config: RunConfig, phi_rules: Sequence[str],
     """
     if not phi_rules or not l_rules:
         raise ConfigError("rule lists must be nonempty")
+    _pool_context(workers)  # a bad worker count fails before tuning
     base_out = config.resolved_out_dir()
     report = cmd_tune(config, out_dir=base_out)
     rows = []
@@ -614,21 +623,12 @@ def cmd_sweep_phi_l(config: RunConfig, phi_rules: Sequence[str],
             overrides: dict = {"out_dir": str(base_out / f"cell_phi{pi}_l{li}")}
             overrides.update(_phi_override(phi_desc))
             overrides.update(_l_override(l_desc))
-            sub = RunConfig(**{**config.to_dict(), **overrides})
+            sub = replace(config, **overrides)
             cmd_sample(sub, report=report, workers=workers)
             rep = cmd_diagnose(sub.resolved_out_dir())
-            rows.append({
-                "phi_rule": phi_desc,
-                "l_rule": l_desc,
-                "grad_per_min_ess": rep.grad_per_min_ess,
-                "grad_per_mean_ess": rep.grad_per_mean_ess,
-                "grad_per_multi_ess": rep.grad_per_multi_ess,
-                "ess_min": rep.ess_min,
-                "ess_mean": rep.ess_mean,
-                "ess_multi": rep.ess_multi,
-                "grad": rep.grad,
-                "n_conv": rep.n_conv,
-            })
+            rows.append({"phi_rule": phi_desc, "l_rule": l_desc, **{
+                k: getattr(rep, k) for k in (*_GRAD_PER_ESS, "ess_min", "ess_mean",
+                                             "ess_multi", "grad", "n_conv")}})
     _write_dict_rows(base_out / "sweep_phi_l.csv", rows)
     return rows
 

@@ -47,6 +47,8 @@ _CONFIG_FIELDS = [
     ("--dataset-path", str, "dataset file for blr-file"),
     ("--integrator", str, "integrator override: vv, vv2, vv3, bcss2, bcss3, me2, me3 or saia3"),
     ("--dt-fixed", float, "fixed step size override"),
+    ("--l-fixed", int, "fixed trajectory length"),
+    ("--phi-fixed", float, "fixed refresh noise"),
     ("--fitting-mode", str, "fitting factor mode: auto, s, s_omega"),
     ("--ar-target", float, "burn-in target acceptance rate"),
     ("--h-lower", float, "lower endpoint of the dimensionless step interval"),
@@ -56,26 +58,32 @@ _CONFIG_FIELDS = [
     ("--window", int, "post-convergence metric window"),
     ("--ess-method", str, "univariate ESS estimator: geyer or ar"),
 ]
+# (flag, number type, count or None for any, help) of comma-separated fields
+_LIST_FIELDS = [
+    ("--dt-interval", float, 2, "step interval override 'lo,hi'"),
+    ("--l-range", int, 2, "uniform integer trajectory range 'lo,hi'"),
+    ("--l-choices", int, None, "equal-probability trajectory set 'v1,v2,...'"),
+    ("--phi-interval", float, 2, "refresh noise interval 'lo,hi'"),
+]
+# (flag, field, value the flag sets, help) of the store_true switches
+_SWITCHES = [
+    ("--no-standardize", "standardize", False, "skip covariate standardization for BLR data"),
+    ("--text-chains", "binary_chains", False, "write chains and records as CSV, not .npy"),
+    ("--warm-start", "warm_start", True, "start gauss-<D> chains from exact target draws"),
+]
+
+
+def _field(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for flag, ftype, help_text in _CONFIG_FIELDS:
         parser.add_argument(flag, type=ftype, help=help_text)
-    parser.add_argument("--dt-interval", type=str,
-                        help="step interval override 'lo,hi'")
-    parser.add_argument("--l-fixed", type=int, help="fixed trajectory length")
-    parser.add_argument("--l-range", type=str,
-                        help="uniform integer trajectory range 'lo,hi'")
-    parser.add_argument("--l-choices", type=str,
-                        help="equal-probability trajectory set 'v1,v2,...'")
-    parser.add_argument("--phi-fixed", type=float, help="fixed refresh noise")
-    parser.add_argument("--phi-interval", type=str,
-                        help="refresh noise interval 'lo,hi'")
-    parser.add_argument("--no-standardize", action="store_true",
-                        help="skip covariate standardization for BLR data")
-    parser.add_argument("--text-chains", action="store_true",
-                        help="write chains and records as CSV text instead "
-                             "of .npy")
+    for flag, _, _, help_text in _LIST_FIELDS:
+        parser.add_argument(flag, type=str, help=help_text)
+    for flag, _, _, help_text in _SWITCHES:
+        parser.add_argument(flag, action="store_true", help=help_text)
     parser.add_argument("--config", type=str,
                         help="JSON config file; its values override flags")
 
@@ -95,27 +103,16 @@ def _numbers(flag: str, text: str, convert=float, count=None) -> tuple:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     for flag, _, _ in _CONFIG_FIELDS:
-        key = flag.lstrip("-").replace("-", "_")
-        value = getattr(args, key, None)
+        value = getattr(args, _field(flag))
         if value is not None:
-            data[key] = value
-    if args.dt_interval:
-        data["dt_interval"] = _numbers("--dt-interval", args.dt_interval, count=2)
-    if args.l_fixed is not None:
-        data["l_fixed"] = args.l_fixed
-    if args.l_range:
-        data["l_range"] = _numbers("--l-range", args.l_range, int, 2)
-    if args.l_choices:
-        data["l_choices"] = _numbers("--l-choices", args.l_choices, int)
-    if args.phi_fixed is not None:
-        data["phi_fixed"] = args.phi_fixed
-    if args.phi_interval:
-        data["phi_interval"] = _numbers("--phi-interval", args.phi_interval,
-                                        count=2)
-    if args.no_standardize:
-        data["standardize"] = False
-    if args.text_chains:
-        data["binary_chains"] = False
+            data[_field(flag)] = value
+    for flag, convert, count, _ in _LIST_FIELDS:
+        text = getattr(args, _field(flag))
+        if text:
+            data[_field(flag)] = _numbers(flag, text, convert, count)
+    for flag, field, value, _ in _SWITCHES:
+        if getattr(args, _field(flag)):
+            data[field] = value
     if args.config:
         try:
             file_values = json.loads(Path(args.config).read_text())
@@ -146,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_sample)
     p_sample.add_argument("--report", type=str, help="existing tuning report path")
     p_sample.add_argument("--workers", type=int, default=1,
-                          help="parallel chain workers")
+                          help="chain workers, at least 1; more than 1 runs a "
+                               "forked pool of at most n-chains processes")
 
     p_diag = sub.add_parser("diagnose", help="compute metrics for a finished run")
     p_diag.add_argument("run_dir", type=str)

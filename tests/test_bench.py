@@ -256,16 +256,45 @@ class TestCommands:
                    (Path(config_b.out_dir) / name).read_bytes()
 
     def test_worker_count_does_not_change_chains(self, tmp_path):
-        config_a = _small_config(tmp_path, out_dir=str(tmp_path / "w1"),
-                                 n_chains=4)
-        config_b = RunConfig(**{**config_a.to_dict(), "out_dir": str(tmp_path / "w4")})
-        cmd_sample(config_a, workers=1)
-        cmd_sample(config_b, workers=4)
-        names = _run_files(config_a.out_dir)
-        assert len(names) == 8 and names == _run_files(config_b.out_dir)
-        for name in names:
-            assert (Path(config_a.out_dir) / name).read_bytes() == \
-                   (Path(config_b.out_dir) / name).read_bytes()
+        for warm_start in (False, True):
+            config_a = _small_config(tmp_path, n_chains=4, warm_start=warm_start,
+                                     out_dir=str(tmp_path / f"w1-{warm_start}"))
+            config_b = replace(config_a, out_dir=str(tmp_path / f"w4-{warm_start}"))
+            cmd_sample(config_a, workers=1)
+            cmd_sample(config_b, workers=4)
+            names = _run_files(config_a.out_dir)
+            assert len(names) == 8 and names == _run_files(config_b.out_dir)
+            for name in names:
+                assert (Path(config_a.out_dir) / name).read_bytes() == \
+                       (Path(config_b.out_dir) / name).read_bytes()
+
+    @pytest.mark.parametrize("case", ["report", "inline-tuning", "warm-start"])
+    def test_sample_resolves_the_benchmark_once(self, tmp_path, monkeypatch,
+                                                case):
+        config, report = _small_config(tmp_path), None
+        if case == "report":
+            report = cmd_tune(config)
+        elif case == "warm-start":
+            config = _small_config(tmp_path, mode="hmc", integrator="vv",
+                                   dt_fixed=0.3, l_fixed=2, warm_start=True)
+        calls = []
+
+        def counting(run_config):
+            calls.append(run_config.benchmark)
+            return resolve_benchmark(run_config)
+
+        monkeypatch.setattr("ghmctune.bench.resolve_benchmark", counting)
+        cmd_sample(config, report=report)
+        assert calls == ["gauss-5"]
+
+    def test_pool_needs_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("multiprocessing.get_all_start_methods",
+                            lambda: ["spawn"])
+        config = _small_config(tmp_path)
+        with pytest.raises(ConfigError, match="fork"):
+            cmd_sample(config, workers=2)
+        assert not Path(config.out_dir).exists()
+        cmd_sample(config, workers=1)
 
     def test_text_export_matches_default_run(self, tmp_path):
         config_npy = _small_config(tmp_path, out_dir=str(tmp_path / "npy"))
@@ -437,6 +466,69 @@ class TestCli:
         assert code == 2
         assert "configuration error" in err and "dimension 4" in err
         assert not out.exists()
+
+    def test_hmc_report_gives_ghmc_sample_no_phi_rule(self, tmp_path, capsys):
+        tuned = tmp_path / "tuned"
+        assert main(["tune", "--benchmark", "gauss-4", "--mode", "hmc",
+                     "--n-burnin", "200", "--seed", "1",
+                     "--out-dir", str(tuned)]) == 0
+        capsys.readouterr()
+        sample = ["sample", "--benchmark", "gauss-4", "--mode", "ghmc",
+                  "--n-prod", "100", "--n-chains", "1", "--seed", "1",
+                  "--report", str(tuned / "tuning_report.json")]
+        out = tmp_path / "never"
+        code = main(sample + ["--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "phi rule" in err
+        assert not out.exists()
+        out = tmp_path / "phi"
+        assert main(sample + ["--phi-fixed", "0.3", "--out-dir", str(out)]) == 0
+        chain_set = load_chain_set(out)
+        assert np.all(chain_set.records[0].phi == 0.3)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["mode"] == "ghmc"
+
+    @pytest.mark.parametrize("command", [
+        ["sample"], ["sensitivity"],
+        ["sweep", "--phi-rules", "tuned", "--l-rules", "tuned"]],
+        ids=["sample", "sensitivity", "sweep"])
+    def test_zero_workers_exits_before_output(self, tmp_path, capsys, command):
+        out = tmp_path / "never"
+        code = main([*command, "--benchmark", "gauss-5", "--n-burnin", "200",
+                     "--workers", "0", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "workers=0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,code", [
+        (["--benchmark", "nope-3"], 2),
+        (["--benchmark", "blr-file", "--dataset-path", "missing.csv"], 4)],
+        ids=["unknown-benchmark", "missing-dataset"])
+    def test_untuned_run_of_unbuildable_model_exits_before_output(
+            self, tmp_path, flags, code):
+        out = tmp_path / "never"
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+        assert main(["sample", *flags, "--mode", "hmc", "--integrator", "vv",
+                     "--dt-fixed", "0.1", "--out-dir", str(out)]) == code
+        assert not out.exists()
+
+    def test_warm_start_flag(self, tmp_path):
+        settings = dict(benchmark="gauss-4", mode="hmc", integrator="vv",
+                        dt_fixed=0.3, l_fixed=2, n_prod=150, n_chains=2, seed=1)
+        flag_out, api_out = tmp_path / "flag", tmp_path / "api"
+        args = [f"--{key.replace('_', '-')}={value}"
+                for key, value in settings.items()]
+        assert main(["sample", *args, "--warm-start",
+                     "--out-dir", str(flag_out)]) == 0
+        cmd_sample(RunConfig(**settings, warm_start=True, out_dir=str(api_out)))
+        manifest = json.loads((flag_out / "manifest.json").read_text())
+        assert manifest["config"]["warm_start"] is True
+        names = _run_files(flag_out)
+        assert len(names) == 4 and names == _run_files(api_out)
+        for name in names:
+            assert (flag_out / name).read_bytes() == (api_out / name).read_bytes()
 
     @pytest.mark.parametrize("integrator", [[], ["--integrator", "vv"]])
     @pytest.mark.parametrize("flags,name", [
