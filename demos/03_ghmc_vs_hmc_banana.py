@@ -10,7 +10,7 @@ import numpy as np
 
 from ghmctune.diagnostics import ChainSet, diagnose, ref_metric
 from ghmctune.models import banana_model, make_banana_spec
-from ghmctune.samplers import Fixed, SamplerConfig, UniformIntRange, run_chain
+from ghmctune.samplers import DiscreteSet, Fixed, SamplerConfig, run_chain
 from ghmctune.tuning import atune, config_from_report
 
 SEED = 1
@@ -40,9 +40,8 @@ def run_set(config):
 print(f"\nrunning {N_CHAINS} chains x {N_PROD} iterations per sampler...")
 ghmc_set = run_set(ghmc_config)
 hmc_config = SamplerConfig(
-    mode="hmc",
     dt_rule=ghmc_config.dt_rule,
-    l_rule=UniformIntRange(1, 7),
+    l_rule=DiscreteSet(range(1, 8)),
     phi_rule=Fixed(1.0),
     scheme=ghmc_config.scheme,
     seed=SEED,

@@ -43,7 +43,6 @@ from .samplers import (
     Fixed,
     SamplerConfig,
     UniformInterval,
-    UniformIntRange,
     chain_rng,
     ghmc_iteration,
     metropolis_accept,

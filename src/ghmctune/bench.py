@@ -25,6 +25,7 @@ serialization.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import multiprocessing
@@ -67,7 +68,6 @@ from .samplers import (
     Fixed,
     SamplerConfig,
     UniformInterval,
-    UniformIntRange,
     chain_rng,
     check_rule,
     run_chain,
@@ -181,6 +181,9 @@ class RunConfig:
             val = getattr(self, tpl_field)
             if val is not None:
                 object.__setattr__(self, tpl_field, tuple(val))
+        for name in ("l_fixed", "l_range", "l_choices"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _whole(name, getattr(self, name)))
         _override_rules(self)  # range-check the overrides before any output
 
     def to_dict(self) -> dict:
@@ -196,6 +199,22 @@ class RunConfig:
             return Path(self.out_dir)
         root = os.environ.get(_OUTPUT_ROOT_ENV, "runs")
         return Path(root) / f"{self.benchmark}-{self.mode}-seed{self.seed}"
+
+
+def _whole(name: str, value):
+    """``value``, a number or a tuple of numbers, as ints.
+
+    The kernel would truncate a trajectory length such as 2.5, so anything
+    but a whole number is a ConfigError naming ``name``.
+    """
+    values = value if isinstance(value, tuple) else (value,)
+    try:
+        ints = tuple(int(v) for v in values)
+        if ints == tuple(map(float, values)):
+            return ints if isinstance(value, tuple) else ints[0]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name}={value!r}: trajectory lengths must be whole numbers")
 
 
 def resolve_benchmark(config: RunConfig) -> TargetModel:
@@ -312,7 +331,7 @@ _OVERRIDE_RULES = {
     "dt_fixed": ("dt", Fixed),
     "dt_interval": ("dt", lambda v: UniformInterval(*v)),
     "l_fixed": ("l", Fixed),
-    "l_range": ("l", lambda v: UniformIntRange(int(v[0]), int(v[1]))),
+    "l_range": ("l", lambda v: DiscreteSet(range(v[0], v[1] + 1))),
     "l_choices": ("l", DiscreteSet),
     "phi_fixed": ("phi", Fixed),
     "phi_interval": ("phi", lambda v: UniformInterval(*v)),
@@ -341,24 +360,18 @@ def _build_sampler_config(config: RunConfig,
     ``cmd_sample`` tunes whenever the overrides leave the step size or the
     scheme to a report, so without a report both are overridden.
     """
-    if report is None:
-        rules, scheme = {"l": Fixed(1)}, build_scheme(config.integrator)
-    else:
-        base = config_from_report(report)
-        rules = {"dt": base.dt_rule, "l": base.l_rule}
-        if report.mode == "ghmc":  # an HMC report's phi = 1 is no GHMC rule
-            rules["phi"] = base.phi_rule
-        scheme = base.scheme
-        if config.integrator not in (None, "saia3"):
-            scheme = build_scheme(config.integrator)
-    rules.update(_override_rules(config))
+    rules = {f"{quantity}_rule": rule
+             for quantity, rule in _override_rules(config).items()}
     if config.mode == "hmc":
-        rules["phi"] = Fixed(1.0)
-    elif "phi" not in rules:
+        rules["phi_rule"] = Fixed(1.0)
+    elif "phi_rule" not in rules and (report is None or report.mode != "ghmc"):
+        # an HMC report's phi = 1 is no GHMC rule
         raise ConfigError("GHMC needs a phi rule: tune in GHMC mode or override phi")
-    return SamplerConfig(mode=config.mode, dt_rule=rules["dt"],
-                         l_rule=rules["l"], phi_rule=rules["phi"],
-                         scheme=scheme, seed=config.seed)
+    if config.integrator not in (None, "saia3"):
+        rules["scheme"] = build_scheme(config.integrator)
+    if report is None:
+        return SamplerConfig(**{"l_rule": Fixed(1), **rules}, seed=config.seed)
+    return replace(config_from_report(report), **rules, seed=config.seed)
 
 
 def _warm_starts(config: RunConfig) -> list:
@@ -441,8 +454,12 @@ def cmd_sample(config: RunConfig, report: Optional[TuningReport] = None,
     scheme to one.  ``workers`` > 1 runs the chains in a forked pool that
     inherits the run; results do not depend on the worker count.
     """
+    return _sample(config, resolve_benchmark(config), report, workers)
+
+
+def _sample(config: RunConfig, model: TargetModel,
+            report: Optional[TuningReport], workers: int) -> RunArtifacts:
     pool_context = _pool_context(workers)
-    model = resolve_benchmark(config)
     out = config.resolved_out_dir()
     report_path = None
     if report is None and (config.dt_fixed is None and config.dt_interval is None
@@ -594,10 +611,11 @@ def cmd_sensitivity(config: RunConfig, deltas: Sequence[float] = (-0.05, 0.0, 0.
     """
     rows = []
     base_out = config.resolved_out_dir()
+    model = resolve_benchmark(config)  # h_lower does not change the model
     for delta in deltas:
         sub = replace(config, h_lower=config.h_lower * (1.0 + delta),
                       out_dir=str(base_out / f"hlower{delta:+.3f}"))
-        cmd_sample(sub, workers=workers)
+        _sample(sub, model, None, workers)
         rep = cmd_diagnose(sub.resolved_out_dir())
         rows.append({"delta": delta, "h_lower": sub.h_lower,
                      **{k: getattr(rep, k) for k in (*_GRAD_PER_ESS, "n_conv")}})
@@ -614,21 +632,22 @@ def cmd_sweep_phi_l(config: RunConfig, phi_rules: Sequence[str],
     """
     if not phi_rules or not l_rules:
         raise ConfigError("rule lists must be nonempty")
-    _pool_context(workers)  # a bad worker count fails before tuning
+    _pool_context(workers)  # a bad worker count or rule fails before tuning
     base_out = config.resolved_out_dir()
-    report = cmd_tune(config, out_dir=base_out)
+    cells = [(phi_desc, l_desc,
+              replace(config, out_dir=str(base_out / f"cell_phi{pi}_l{li}"),
+                      **_phi_override(phi_desc), **_l_override(l_desc)))
+             for pi, phi_desc in enumerate(phi_rules)
+             for li, l_desc in enumerate(l_rules)]
+    model = resolve_benchmark(config)  # the cells differ in overrides only
+    report = _tune(config, model, base_out)
     rows = []
-    for pi, phi_desc in enumerate(phi_rules):
-        for li, l_desc in enumerate(l_rules):
-            overrides: dict = {"out_dir": str(base_out / f"cell_phi{pi}_l{li}")}
-            overrides.update(_phi_override(phi_desc))
-            overrides.update(_l_override(l_desc))
-            sub = replace(config, **overrides)
-            cmd_sample(sub, report=report, workers=workers)
-            rep = cmd_diagnose(sub.resolved_out_dir())
-            rows.append({"phi_rule": phi_desc, "l_rule": l_desc, **{
-                k: getattr(rep, k) for k in (*_GRAD_PER_ESS, "ess_min", "ess_mean",
-                                             "ess_multi", "grad", "n_conv")}})
+    for phi_desc, l_desc, sub in cells:
+        _sample(sub, model, report, workers)
+        rep = cmd_diagnose(sub.resolved_out_dir())
+        rows.append({"phi_rule": phi_desc, "l_rule": l_desc, **{
+            k: getattr(rep, k) for k in (*_GRAD_PER_ESS, "ess_min", "ess_mean",
+                                         "ess_multi", "grad", "n_conv")}})
     _write_dict_rows(base_out / "sweep_phi_l.csv", rows)
     return rows
 
@@ -651,13 +670,10 @@ def _l_override(desc: str) -> dict:
     if desc == "tuned":
         return {}
     kind, value = parse_rule(desc)
-    if kind == "fixed":
-        return {"l_fixed": int(value)}
-    if kind == "range":
-        return {"l_range": (int(value[0]), int(value[1]))}
-    if kind == "choice":
-        return {"l_choices": tuple(int(v) for v in value)}
-    raise ConfigError(f"L rule '{desc}' must be fixed, range or choice")
+    fields = {"fixed": "l_fixed", "range": "l_range", "choice": "l_choices"}
+    if kind not in fields:
+        raise ConfigError(f"L rule '{desc}' must be fixed, range or choice")
+    return {fields[kind]: value}  # RunConfig checks for whole numbers
 
 
 def parse_rule(desc: str):
@@ -731,8 +747,9 @@ def _write_dict_rows(path: Path, rows: list[dict]) -> None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     keys = list(rows[0].keys())
-    with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(keys)
         for row in rows:
-            fh.write(",".join(repr(float(row[k]) if isinstance(row[k], float) else row[k])
-                              for k in keys) + "\n")
+            writer.writerow([repr(float(row[k])) if isinstance(row[k], float)
+                             else str(row[k]) for k in keys])

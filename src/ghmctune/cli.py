@@ -58,12 +58,12 @@ _CONFIG_FIELDS = [
     ("--window", int, "post-convergence metric window"),
     ("--ess-method", str, "univariate ESS estimator: geyer or ar"),
 ]
-# (flag, number type, count or None for any, help) of comma-separated fields
+# (flag, count or None for any, help) of comma-separated fields
 _LIST_FIELDS = [
-    ("--dt-interval", float, 2, "step interval override 'lo,hi'"),
-    ("--l-range", int, 2, "uniform integer trajectory range 'lo,hi'"),
-    ("--l-choices", int, None, "equal-probability trajectory set 'v1,v2,...'"),
-    ("--phi-interval", float, 2, "refresh noise interval 'lo,hi'"),
+    ("--dt-interval", 2, "step interval override 'lo,hi'"),
+    ("--l-range", 2, "uniform integer trajectory range 'lo,hi'"),
+    ("--l-choices", None, "equal-probability trajectory set 'v1,v2,...'"),
+    ("--phi-interval", 2, "refresh noise interval 'lo,hi'"),
 ]
 # (flag, field, value the flag sets, help) of the store_true switches
 _SWITCHES = [
@@ -80,7 +80,7 @@ def _field(flag: str) -> str:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for flag, ftype, help_text in _CONFIG_FIELDS:
         parser.add_argument(flag, type=ftype, help=help_text)
-    for flag, _, _, help_text in _LIST_FIELDS:
+    for flag, _, help_text in _LIST_FIELDS:
         parser.add_argument(flag, type=str, help=help_text)
     for flag, _, _, help_text in _SWITCHES:
         parser.add_argument(flag, action="store_true", help=help_text)
@@ -88,11 +88,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON config file; its values override flags")
 
 
-def _numbers(flag: str, text: str, convert=float, count=None) -> tuple:
+def _numbers(flag: str, text: str, count=None) -> tuple:
     """The comma-separated numbers of ``flag``, ``count`` of them if given."""
     try:
-        values = tuple(convert(float(v)) for v in text.split(","))
-    except (ValueError, OverflowError):
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
         values = ()
     if not values or count not in (None, len(values)):
         raise ConfigError(f"{flag} expects {count or 'some'} comma-separated "
@@ -106,10 +106,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, _field(flag))
         if value is not None:
             data[_field(flag)] = value
-    for flag, convert, count, _ in _LIST_FIELDS:
+    for flag, count, _ in _LIST_FIELDS:
         text = getattr(args, _field(flag))
         if text:
-            data[_field(flag)] = _numbers(flag, text, convert, count)
+            data[_field(flag)] = _numbers(flag, text, count)
     for flag, field, value, _ in _SWITCHES:
         if getattr(args, _field(flag)):
             data[field] = value

@@ -4,8 +4,8 @@ One iteration performs a (partial) momentum refresh, integrates the
 Hamiltonian dynamics for L steps of size dt with a splitting scheme, applies
 the Metropolis test on the energy error, and on rejection keeps the position
 while negating the momentum.  Full refresh (phi = 1) makes the momentum flip
-irrelevant and recovers standard HMC; both modes share one code path, so HMC
-and GHMC with phi fixed to 1 produce bit-identical chains for equal seeds.
+irrelevant and recovers standard HMC, so the kernel has no mode: an HMC chain
+is a GHMC chain whose phi rule is Fixed(1.0).
 
 Per-iteration hyperparameters (dt, L, phi) are drawn independently from
 configurable rules.  Every chain owns a private counter-based random stream
@@ -39,7 +39,6 @@ from .saia import SAIA3Map
 __all__ = [
     "Fixed",
     "UniformInterval",
-    "UniformIntRange",
     "DiscreteSet",
     "AdaptiveScheme",
     "SamplerConfig",
@@ -85,25 +84,6 @@ class UniformInterval:
 
     def draw(self, rng):
         return self.lower + (self.upper - self.lower) * rng.random()
-
-    @property
-    def mean(self):
-        return 0.5 * (self.lower + self.upper)
-
-
-@dataclass(frozen=True)
-class UniformIntRange:
-    """Uniform over the integers lower..upper inclusive."""
-
-    lower: int
-    upper: int
-
-    def __post_init__(self):
-        if not (1 <= self.lower <= self.upper):
-            raise ValueError("need 1 <= lower <= upper")
-
-    def draw(self, rng):
-        return int(rng.integers(self.lower, self.upper + 1))
 
     @property
     def mean(self):
@@ -168,36 +148,23 @@ class SamplerConfig:
     """Everything one chain needs apart from the model and iteration count.
 
     Attributes:
-        mode: "hmc" (full momentum refresh) or "ghmc" (partial refresh with
-            flip on rejection).
         dt_rule: Draw rule for the dimensional step size.
         l_rule: Draw rule for the number of integration steps per iteration.
-        phi_rule: Draw rule for the refresh noise in (0, 1]; forced to
-            Fixed(1.0) in HMC mode.
+        phi_rule: Draw rule for the refresh noise in (0, 1]; Fixed(1.0) is HMC.
         scheme: A ``SplittingScheme`` or an ``AdaptiveScheme``, or any
             object with a ``step_coefficients(dt)`` method and ``stages``.
         seed: Root seed; chains split private streams off it.
     """
 
-    mode: str
     dt_rule: Union[Fixed, UniformInterval]
-    l_rule: Union[Fixed, UniformIntRange, DiscreteSet]
-    phi_rule: Union[Fixed, UniformInterval, None] = None
-    scheme: object = None
+    l_rule: Union[Fixed, DiscreteSet]
+    phi_rule: Union[Fixed, UniformInterval]
+    scheme: object
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("hmc", "ghmc"):
-            raise ValueError("mode must be 'hmc' or 'ghmc'")
         if not hasattr(self.scheme, "step_coefficients"):
             raise ValueError("scheme must be a SplittingScheme or an AdaptiveScheme")
-        if self.mode == "hmc":
-            if self.phi_rule is None:
-                object.__setattr__(self, "phi_rule", Fixed(1.0))
-            elif not (isinstance(self.phi_rule, Fixed) and self.phi_rule.value == 1.0):
-                raise ValueError("HMC requires phi fixed to 1")
-        elif self.phi_rule is None:
-            raise ValueError("GHMC requires a phi rule")
         for quantity in ("dt", "l", "phi"):
             check_rule(quantity, getattr(self, f"{quantity}_rule"))
 

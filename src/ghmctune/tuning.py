@@ -87,8 +87,8 @@ class BurninStats:
         ar: Acceptance rate over the measurement window.
         dt_vv: Final adapted step size.
         energy_error: Mean |dH| over the measurement window.
-        omegas: Averaged sorted frequency spectrum, or None when frequencies
-            were not collected.
+        omegas: Averaged sorted frequency spectrum, or None when the model
+            has no Hessian.
         omega_max: Maximum frequency; estimated from the acceptance rate when
             the spectrum is unavailable.
         omega_std: Standard deviation of the spectrum (0 without spectrum).
@@ -175,7 +175,6 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
     dt = 1.0 / math.sqrt(d)
     # the loop passes its adapted dt to every iteration; dt_rule is unused
     config = SamplerConfig(
-        mode=mode,
         dt_rule=Fixed(dt),
         l_rule=Fixed(1),
         phi_rule=phi_rule,
@@ -309,8 +308,8 @@ def fitting_factor(stats: BurninStats, mode: str = "auto") -> float:
     one_minus = 1.0 - stats.ar
     if mode == "s_omega":
         if not stats.has_frequencies:
-            raise TuningError("frequency spectrum unavailable; rerun the "
-                              "burn-in with frequency collection or use mode='s'")
+            raise TuningError("frequency spectrum unavailable: the model has "
+                              "no Hessian; use mode='s'")
         denom = float(np.sum(stats.omegas ** 6))
         value = (2.0 / stats.dt_vv) * (2.0 * math.pi * one_minus ** 2 / denom) ** (1.0 / 6.0)
     else:
@@ -531,16 +530,17 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc",
 
 
 def config_from_report(report: TuningReport) -> SamplerConfig:
-    """The production sampler configuration of a tuning report."""
+    """The production sampler configuration of a tuning report.
+
+    HMC is the full refresh phi = 1; GHMC draws phi from the report's interval.
+    """
+    phi_rule = Fixed(1.0)
     if report.mode == "ghmc":
         if report.phi_lower == report.phi_upper:
             phi_rule = Fixed(report.phi_lower)
         else:
             phi_rule = UniformInterval(report.phi_lower, report.phi_upper)
-    else:
-        phi_rule = Fixed(1.0)
     return SamplerConfig(
-        mode=report.mode,
         dt_rule=UniformInterval(report.dt_lower, report.dt_colsi),
         l_rule=report.l_rule(),
         phi_rule=phi_rule,

@@ -12,6 +12,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 from scipy import stats as sps
 
 from ghmctune.bench import RunConfig, cmd_sample, cmd_sensitivity
@@ -38,10 +39,10 @@ from ghmctune.models import (
 )
 from ghmctune.samplers import (
     AdaptiveScheme,
+    DiscreteSet,
     Fixed,
     SamplerConfig,
     UniformInterval,
-    UniformIntRange,
     chain_rng,
     metropolis_accept,
     run_chain,
@@ -142,7 +143,7 @@ def test_criterion_05_eta_anchor(saia_map):
 def test_criterion_06_sampler_exactness(std_gauss_1d, saia_map):
     # (a) pooled stationarity KS at the 1% level
     lo, hi = phi_interval(1)
-    config = SamplerConfig(mode="ghmc", dt_rule=UniformInterval(H_LOWER, 3.0),
+    config = SamplerConfig(dt_rule=UniformInterval(H_LOWER, 3.0),
                            l_rule=Fixed(1), phi_rule=UniformInterval(lo, hi),
                            scheme=AdaptiveScheme(1.0, saia_map), seed=77)
     pooled = []
@@ -167,7 +168,7 @@ def test_criterion_06_sampler_exactness(std_gauss_1d, saia_map):
     eta = rotation_angle(build_scheme("vv"), h)
     e_l = math.sin(l * eta) ** 2 / math.sin(eta) ** 2 * h**6 / 32.0
     predicted = 2.0 * sps.norm.cdf(-math.sqrt(e_l / 2.0))
-    hmc = SamplerConfig(mode="hmc", dt_rule=Fixed(h), l_rule=Fixed(l),
+    hmc = SamplerConfig(dt_rule=Fixed(h), l_rule=Fixed(l), phi_rule=Fixed(1.0),
                         scheme=build_scheme("vv"), seed=31)
     _, records = run_chain(std_gauss_1d, hmc, 10_000)
     ar_ok = abs(records.acceptance_rate - predicted) <= 0.03
@@ -214,6 +215,7 @@ def test_criterion_07_diagnostics_calibration():
              f"vs N/3={n / 3:.0f}")
 
 
+@pytest.mark.slow
 def test_criterion_08_desk_scale_replication():
     """AT-GHMC vs heuristically randomized HMC on gauss-100, five seeds.
 
@@ -244,9 +246,8 @@ def test_criterion_08_desk_scale_replication():
         rep_g = diagnose(run_set(config, n_ghmc), statistic="max",
                          threshold=1.1, ess_method="ar")
         hmc = SamplerConfig(
-            mode="hmc",
             dt_rule=UniformInterval(report.dt_lower, report.dt_colsi),
-            l_rule=UniformIntRange(1, 66),
+            l_rule=DiscreteSet(range(1, 67)),
             phi_rule=Fixed(1.0),
             scheme=config.scheme,
             seed=seed,
@@ -273,6 +274,7 @@ def test_criterion_08_desk_scale_replication():
              f"computed {computed}/5, {elapsed:.0f}s; " + "; ".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_09_sensitivity(tmp_path):
     # tuned-pipeline HMC on the Wishart Gaussian; the production-after-burn-in
     # protocol (warm starts, relaxed threshold) keeps the metric windows

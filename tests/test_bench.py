@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -16,6 +17,7 @@ from ghmctune.bench import (
     cmd_compare,
     cmd_diagnose,
     cmd_sample,
+    cmd_sensitivity,
     cmd_sweep_phi_l,
     cmd_tune,
     load_chain_set,
@@ -77,10 +79,17 @@ class TestRunConfig:
         ("l_fixed", 0), ("l_range", (0, 3)), ("l_range", ("a", 3)),
         ("l_choices", (0, 2)), ("phi_fixed", 1.5), ("phi_interval", (0.2, 1.5)),
         ("n_burnin", 50), ("ar_target", 1.5), ("ar_target", 0.0),
-        ("h_lower", 5.0), ("h_lower", 0.0)])
+        ("h_lower", 5.0), ("h_lower", 0.0), ("l_fixed", 2.5),
+        ("l_range", (1, 2.5)), ("l_choices", (2.5, 5)), ("l_range", (1, 1e400))])
     def test_out_of_range_override_rejected(self, tmp_path, field, value):
         with pytest.raises(ConfigError, match=field):
             _small_config(tmp_path, **{field: value})
+
+    def test_whole_trajectory_lengths_become_ints(self, tmp_path):
+        assert _small_config(tmp_path, l_fixed=2.0).l_fixed == 2
+        config = _small_config(tmp_path, l_range=(1.0, 4.0))
+        assert config.l_range == (1, 4) and type(config.l_range[0]) is int
+        assert _small_config(tmp_path, l_choices=[2.0, 5]).l_choices == (2, 5)
 
 
 class TestBenchmarks:
@@ -286,6 +295,51 @@ class TestCommands:
         monkeypatch.setattr("ghmctune.bench.resolve_benchmark", counting)
         cmd_sample(config, report=report)
         assert calls == ["gauss-5"]
+
+    @pytest.mark.parametrize("command", ["sweep", "sensitivity"])
+    def test_multi_run_commands_resolve_the_benchmark_once(
+            self, tmp_path, monkeypatch, command):
+        config = _small_config(tmp_path, n_prod=200)
+        calls = []
+
+        def counting(run_config):
+            calls.append(run_config.benchmark)
+            return resolve_benchmark(run_config)
+
+        monkeypatch.setattr("ghmctune.bench.resolve_benchmark", counting)
+        if command == "sweep":
+            cmd_sweep_phi_l(config, ["tuned", "fixed:1"], ["tuned", "fixed:2"])
+        else:
+            cmd_sensitivity(config, deltas=(-0.05, 0.0, 0.05))
+        assert calls == ["gauss-5"]
+
+    def test_hmc_run_equals_ghmc_with_unit_phi(self, tmp_path):
+        # HMC is GHMC with a full refresh: same chains, same records
+        settings = dict(integrator="vv", dt_fixed=0.3, l_range=(1, 4))
+        hmc = _small_config(tmp_path, mode="hmc", **settings,
+                            out_dir=str(tmp_path / "hmc"))
+        ghmc = _small_config(tmp_path, mode="ghmc", phi_fixed=1.0, **settings,
+                             out_dir=str(tmp_path / "ghmc"))
+        cmd_sample(hmc)
+        cmd_sample(ghmc)
+        names = _run_files(hmc.out_dir)
+        assert len(names) == 4 and names == _run_files(ghmc.out_dir)
+        for name in names:
+            assert (Path(hmc.out_dir) / name).read_bytes() == \
+                   (Path(ghmc.out_dir) / name).read_bytes()
+
+    def test_sweep_csv_reads_back(self, tmp_path):
+        config = _small_config(tmp_path, n_prod=200,
+                               out_dir=str(tmp_path / "sweep"))
+        phi_rules, l_rules = ["tuned", "uniform:0,0.5"], ["choice:2,5,7"]
+        rows = cmd_sweep_phi_l(config, phi_rules, l_rules)
+        with open(Path(config.out_dir) / "sweep_phi_l.csv", newline="") as fh:
+            read = list(csv.DictReader(fh))
+        assert [(r["phi_rule"], r["l_rule"]) for r in read] == \
+               [("tuned", "choice:2,5,7"), ("uniform:0,0.5", "choice:2,5,7")]
+        for got, row in zip(read, rows):
+            assert list(got) == list(row)  # no field spilled into extra columns
+            assert got["grad"] == str(row["grad"])
 
     def test_pool_needs_fork(self, tmp_path, monkeypatch):
         monkeypatch.setattr("multiprocessing.get_all_start_methods",
@@ -502,6 +556,21 @@ class TestCli:
         assert "configuration error" in err and "workers=0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rule,name", [("fixed:2.5", "l_fixed"),
+                                           ("range:1.5,3", "l_range"),
+                                           ("choice:2,5.5", "l_choices"),
+                                           ("uniform:1,2", "L rule")])
+    def test_bad_sweep_l_rule_exits_before_output(self, tmp_path, capsys, rule,
+                                                  name):
+        out = tmp_path / "never"
+        code = main(["sweep", "--benchmark", "gauss-5", "--n-burnin", "200",
+                     "--phi-rules", "tuned", "--l-rules", f"tuned;{rule}",
+                     "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and name in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,code", [
         (["--benchmark", "nope-3"], 2),
         (["--benchmark", "blr-file", "--dataset-path", "missing.csv"], 4)],
@@ -543,7 +612,9 @@ class TestCli:
         (["--phi-interval", "0.1,y"], "--phi-interval"),
         (["--n-burnin", "50"], "n_burnin"),
         (["--ar-target", "1.5"], "ar_target"),
-        (["--h-lower", "5"], "h_lower")])
+        (["--h-lower", "5"], "h_lower"),
+        (["--l-choices", "2.5,5"], "l_choices"),
+        (["--l-range", "1,2.5"], "l_range")])
     def test_bad_override_exits_before_output(self, tmp_path, capsys, flags,
                                               name, integrator):
         # without --integrator the run would tune first
@@ -560,7 +631,8 @@ class TestCli:
         ('{"benchmark": "gauss-4", "n_chains": "4"}', "invalid run configuration"),
         ('{"benchmark": "gauss-4", "dt_interval": 5}', "invalid run configuration"),
         ('["gauss-4"]', "JSON object"),
-        ('{"benchmark": "gauss-4",', "--config")])
+        ('{"benchmark": "gauss-4",', "--config"),
+        ('{"benchmark": "gauss-4", "l_fixed": 2.5}', "l_fixed")])
     def test_bad_config_file_exits_before_output(self, tmp_path, capsys, text,
                                                  name):
         cfg_file = tmp_path / "cfg.json"

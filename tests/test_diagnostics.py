@@ -21,10 +21,10 @@ from ghmctune.diagnostics import (
 )
 from ghmctune.integrators import build_scheme
 from ghmctune.samplers import (
+    DiscreteSet,
     Fixed,
     SamplerConfig,
     UniformInterval,
-    UniformIntRange,
     run_chain,
 )
 
@@ -171,8 +171,8 @@ class TestGradPerEss:
 
     def test_grad_is_the_paper_count(self, std_gauss_2d):
         # grad = C (N_conv + window) mean_L k, with L drawn per iteration
-        config = SamplerConfig(mode="hmc", dt_rule=UniformInterval(0.05, 0.15),
-                               l_rule=UniformIntRange(1, 9), phi_rule=Fixed(1.0),
+        config = SamplerConfig(dt_rule=UniformInterval(0.05, 0.15),
+                               l_rule=DiscreteSet(range(1, 10)), phi_rule=Fixed(1.0),
                                scheme=build_scheme("bcss3"), seed=5)
         runs = [run_chain(std_gauss_2d, config, 600, chain_index=c) for c in range(3)]
         chain_set = ChainSet(np.stack([s for s, _ in runs]), [r for _, r in runs],

@@ -24,7 +24,6 @@ from ghmctune.samplers import (
     Fixed,
     SamplerConfig,
     UniformInterval,
-    UniformIntRange,
     chain_rng,
     run_chain,
 )
@@ -167,20 +166,20 @@ def _phi():
 
 CASES = {
     "adaptive-ghmc-l1": lambda m: dict(
-        mode="ghmc", dt_rule=_dt_interval(), l_rule=Fixed(1),
+        dt_rule=_dt_interval(), l_rule=Fixed(1),
         phi_rule=_phi(), scheme=_adaptive(m), seed=3),
     "hmc-uniform-l-1-66": lambda m: dict(
-        mode="hmc", dt_rule=_dt_interval(), l_rule=UniformIntRange(1, 66),
-        scheme=_adaptive(m), seed=4),
+        dt_rule=_dt_interval(), l_rule=DiscreteSet(range(1, 67)),
+        phi_rule=Fixed(1.0), scheme=_adaptive(m), seed=4),
     "ghmc-discrete-set": lambda m: dict(
-        mode="ghmc", dt_rule=_dt_interval(), l_rule=DiscreteSet((2, 5, 7)),
+        dt_rule=_dt_interval(), l_rule=DiscreteSet((2, 5, 7)),
         phi_rule=_phi(), scheme=_adaptive(m), seed=5),
     "fixed-bcss3": lambda m: dict(
-        mode="ghmc", dt_rule=UniformInterval(0.5, 0.9), l_rule=Fixed(3),
+        dt_rule=UniformInterval(0.5, 0.9), l_rule=Fixed(3),
         phi_rule=Fixed(0.3), scheme=build_scheme("bcss3"), seed=7),
     "divergent-steps": lambda m: dict(
-        mode="hmc", dt_rule=UniformInterval(0.2, 0.8),
-        l_rule=UniformIntRange(1, 12), scheme=build_scheme("vv"), seed=8),
+        dt_rule=UniformInterval(0.2, 0.8), l_rule=DiscreteSet(range(1, 13)),
+        phi_rule=Fixed(1.0), scheme=build_scheme("vv"), seed=8),
 }
 
 

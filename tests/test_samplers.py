@@ -13,7 +13,6 @@ from ghmctune.samplers import (
     Fixed,
     SamplerConfig,
     UniformInterval,
-    UniformIntRange,
     chain_rng,
     ghmc_iteration,
     metropolis_accept,
@@ -22,9 +21,8 @@ from ghmctune.samplers import (
 )
 
 
-def _vv_config(mode="hmc", dt=1.0, l=3, phi=None, seed=0):
+def _vv_config(dt=1.0, l=3, phi=Fixed(1.0), seed=0):
     return SamplerConfig(
-        mode=mode,
         dt_rule=Fixed(dt),
         l_rule=Fixed(l),
         phi_rule=phi,
@@ -65,6 +63,18 @@ class TestPartialMomentumUpdate:
             partial_momentum_update(np.zeros(2), phi, np.random.default_rng(0))
 
 
+class TestDrawRules:
+    @pytest.mark.parametrize("lo,hi", [(1, 66), (1, 1), (3, 9)])
+    def test_integer_range_set_draws_like_integers(self, lo, hi):
+        # a uniform integer range is the set of its values, draw for draw
+        rule, rng = DiscreteSet(range(lo, hi + 1)), chain_rng(7, 1)
+        ref = chain_rng(7, 1)
+        draws = [rule.draw(rng) for _ in range(2000)]
+        assert draws == [int(ref.integers(lo, hi + 1)) for _ in range(2000)]
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        assert rule.mean == 0.5 * (lo + hi)
+
+
 class TestMetropolis:
     def test_zero_error_always_accepts(self):
         rng = np.random.default_rng(0)
@@ -87,7 +97,7 @@ class TestIteration:
         from ghmctune.models import TargetModel
 
         model = TargetModel(2, lambda th: 0.0, lambda th: np.zeros(2), None, "flat")
-        config = _vv_config(mode="hmc", dt=0.5, l=7)
+        config = _vv_config(dt=0.5, l=7)
         rng = chain_rng(0, 0)
         state = ChainState(np.zeros(2), np.ones(2), 0.0, np.zeros(2))
         records = ChainRecords.empty(20)
@@ -113,15 +123,15 @@ class TestIteration:
             assert metropolis_accept(dh, rng)
 
     def test_gradient_count_per_proposal(self, std_gauss_2d):
-        config = SamplerConfig(mode="ghmc", dt_rule=Fixed(0.5),
-                               l_rule=UniformIntRange(1, 9),
+        config = SamplerConfig(dt_rule=Fixed(0.5),
+                               l_rule=DiscreteSet(range(1, 10)),
                                phi_rule=UniformInterval(0.2, 0.9),
                                scheme=build_scheme("bcss3"), seed=3)
         _, records = run_chain(std_gauss_2d, config, 200)
         assert np.array_equal(records.grad_evals, records.n_steps * 3)
 
     def test_rejection_keeps_position_flips_momentum(self, std_gauss_1d):
-        config = _vv_config(mode="ghmc", dt=1.99, l=1, phi=Fixed(0.01), seed=9)
+        config = _vv_config(dt=1.99, l=1, phi=Fixed(0.01), seed=9)
         rng = chain_rng(9, 0)
         theta = np.array([4.0])
         state = ChainState(theta, np.array([2.0]),
@@ -148,12 +158,12 @@ class TestSchemeSelectors:
 
     def test_config_takes_schemes_unwrapped(self, saia_map):
         for scheme in (build_scheme("bcss3"), AdaptiveScheme(1.0, saia_map)):
-            config = SamplerConfig(mode="hmc", dt_rule=Fixed(2.5), l_rule=Fixed(1),
-                                   scheme=scheme)
+            config = SamplerConfig(dt_rule=Fixed(2.5), l_rule=Fixed(1),
+                                   phi_rule=Fixed(1.0), scheme=scheme)
             assert config.scheme is scheme
         with pytest.raises(ValueError):
-            SamplerConfig(mode="hmc", dt_rule=Fixed(0.1), l_rule=Fixed(1),
-                          scheme="bcss3")
+            SamplerConfig(dt_rule=Fixed(0.1), l_rule=Fixed(1),
+                          phi_rule=Fixed(1.0), scheme="bcss3")
 
     def test_adaptive_range_checked_per_draw(self, saia_map):
         with pytest.raises(OutOfStabilityError):
@@ -162,7 +172,7 @@ class TestSchemeSelectors:
 
 class TestRunChain:
     def test_deterministic_per_seed(self, std_gauss_2d):
-        config = SamplerConfig(mode="ghmc", dt_rule=UniformInterval(0.3, 0.6),
+        config = SamplerConfig(dt_rule=UniformInterval(0.3, 0.6),
                                l_rule=DiscreteSet((2, 5, 7)),
                                phi_rule=UniformInterval(0.1, 0.9),
                                scheme=build_scheme("me3"), seed=11)
@@ -177,25 +187,12 @@ class TestRunChain:
         s2, _ = run_chain(std_gauss_2d, config, 100, chain_index=1)
         assert not np.array_equal(s1, s2)
 
-    def test_hmc_equals_ghmc_with_unit_phi(self, std_gauss_2d):
-        kwargs = dict(dt_rule=Fixed(0.9), l_rule=Fixed(4),
-                      scheme=build_scheme("vv"), seed=21)
-        hmc = SamplerConfig(mode="hmc", phi_rule=None, **kwargs)
-        ghmc = SamplerConfig(mode="ghmc", phi_rule=Fixed(1.0), **kwargs)
-        s1, _ = run_chain(std_gauss_2d, hmc, 400)
-        s2, _ = run_chain(std_gauss_2d, ghmc, 400)
-        assert np.array_equal(s1, s2)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SamplerConfig(mode="hmc", dt_rule=Fixed(0.1), l_rule=Fixed(0),
-                          scheme=build_scheme("vv"))
+            SamplerConfig(dt_rule=Fixed(0.1), l_rule=Fixed(0),
+                          phi_rule=Fixed(1.0), scheme=build_scheme("vv"))
         with pytest.raises(ValueError):
-            SamplerConfig(mode="hmc", dt_rule=Fixed(0.1), l_rule=Fixed(1),
-                          phi_rule=UniformInterval(0.1, 0.5),
-                          scheme=build_scheme("vv"))
-        with pytest.raises(ValueError):
-            SamplerConfig(mode="ghmc", dt_rule=Fixed(0.1), l_rule=Fixed(1),
+            SamplerConfig(dt_rule=Fixed(0.1), l_rule=Fixed(1),
                           phi_rule=UniformInterval(0.5, 1.2),
                           scheme=build_scheme("vv"))
 
@@ -209,7 +206,7 @@ class TestRunChain:
             run_chain(std_gauss_1d, _vv_config(), 0)
 
     def test_moments_on_standard_gaussian(self, std_gauss_2d):
-        config = _vv_config(mode="hmc", dt=1.2, l=3, seed=17)
+        config = _vv_config(dt=1.2, l=3, seed=17)
         samples, _ = run_chain(std_gauss_2d, config, 100_000)
         from ghmctune.diagnostics import ess_geyer
 
@@ -220,13 +217,13 @@ class TestRunChain:
             assert x.var() == pytest.approx(1.0, rel=0.05)
 
     def test_acceptance_above_95_below_half_stability(self, std_gauss_1d):
-        config = _vv_config(mode="hmc", dt=0.9, l=3, seed=2)
+        config = _vv_config(dt=0.9, l=3, seed=2)
         _, records = run_chain(std_gauss_1d, config, 5_000)
         assert records.acceptance_rate > 0.95
 
     def test_divergent_trajectory_flagged_and_rejected(self, std_gauss_1d):
         # far outside stability: the energy error explodes immediately
-        config = _vv_config(mode="hmc", dt=50.0, l=10, seed=4)
+        config = _vv_config(dt=50.0, l=10, seed=4)
         samples, records = run_chain(std_gauss_1d, config, 50,
                                      initial_theta=np.array([1.0]))
         assert records.divergent.any()
@@ -241,7 +238,7 @@ class TestHarmonicAcceptanceRate:
         eta = rotation_angle(build_scheme("vv"), h)
         e_l = math.sin(l * eta) ** 2 / math.sin(eta) ** 2 * h**6 / 32.0
         predicted = 2.0 * sps.norm.cdf(-math.sqrt(e_l / 2.0))
-        config = _vv_config(mode="hmc", dt=h, l=l, seed=31)
+        config = _vv_config(dt=h, l=l, seed=31)
         _, records = run_chain(std_gauss_1d, config, 10_000)
         assert abs(records.acceptance_rate - predicted) < 0.03
 
@@ -254,7 +251,6 @@ class TestStationarity:
 
         lo, hi = phi_interval(1)
         config = SamplerConfig(
-            mode="ghmc",
             dt_rule=UniformInterval(2.0772, 3.0),
             l_rule=Fixed(1),
             phi_rule=UniformInterval(lo, hi),
