@@ -33,7 +33,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -104,8 +104,8 @@ class RunConfig:
 
     Overrides replace the corresponding tuned setting; leaving them unset
     keeps the values from the tuning report.  ``integrator`` names a fixed
-    scheme (``SCHEME_NAMES``) or "saia3", the tuned adaptive one; it is
-    stored folded by ``scheme_key``.
+    scheme (``SCHEME_NAMES``), stored folded by ``scheme_key``; None or
+    "saia3" is the tuned adaptive one, stored as None.
     """
 
     benchmark: str
@@ -126,7 +126,6 @@ class RunConfig:
     phi_fixed: Optional[float] = None
     phi_interval: Optional[tuple] = None
     # knobs
-    fitting_mode: str = "auto"
     ar_target: float = 0.95
     h_lower: float = H_LOWER
     standardize: bool = True
@@ -170,7 +169,7 @@ class RunConfig:
             if key not in known:
                 raise ConfigError(f"unknown integrator '{self.integrator}'; "
                                   f"known: {', '.join(known)}")
-            object.__setattr__(self, "integrator", key)
+            object.__setattr__(self, "integrator", None if key == "saia3" else key)
         if self.psrf_statistic not in PSRF_STATISTICS:
             raise ConfigError(f"psrf_statistic '{self.psrf_statistic}' is not "
                               f"one of {', '.join(PSRF_STATISTICS)}")
@@ -367,7 +366,7 @@ def _build_sampler_config(config: RunConfig,
     elif "phi_rule" not in rules and (report is None or report.mode != "ghmc"):
         # an HMC report's phi = 1 is no GHMC rule
         raise ConfigError("GHMC needs a phi rule: tune in GHMC mode or override phi")
-    if config.integrator not in (None, "saia3"):
+    if config.integrator is not None:
         rules["scheme"] = build_scheme(config.integrator)
     if report is None:
         return SamplerConfig(**{"l_rule": Fixed(1), **rules}, seed=config.seed)
@@ -431,7 +430,6 @@ def _tune(config: RunConfig, model: TargetModel,
         mode=config.mode,
         n_burnin=config.n_burnin,
         target_ar=config.ar_target,
-        fitting_mode=config.fitting_mode,
         seed=config.seed,
         h_lower=config.h_lower,
     )
@@ -463,7 +461,7 @@ def _sample(config: RunConfig, model: TargetModel,
     out = config.resolved_out_dir()
     report_path = None
     if report is None and (config.dt_fixed is None and config.dt_interval is None
-                           or config.integrator in (None, "saia3")):
+                           or config.integrator is None):
         report = _tune(config, model, out)
         report_path = out / "tuning_report.json"
     elif report is not None and report.dimension != model.dimension:
@@ -545,7 +543,9 @@ def cmd_diagnose(out_dir: str | Path, statistic: Optional[str] = None,
     manifest = json.loads((out_dir / "manifest.json").read_text())
     overrides = {"psrf_statistic": statistic, "psrf_threshold": threshold,
                  "window": window, "ess_method": ess_method}
-    config = replace(RunConfig(**manifest["config"]),
+    names = {f.name for f in fields(RunConfig)}  # older manifests hold dropped ones
+    config = replace(RunConfig(**{k: v for k, v in manifest["config"].items()
+                                  if k in names}),
                      **{k: v for k, v in overrides.items() if v is not None})
     chain_set = load_chain_set(out_dir)
     report = diagnose(
@@ -609,12 +609,14 @@ def cmd_sensitivity(config: RunConfig, deltas: Sequence[float] = (-0.05, 0.0, 0.
     Each delta scales the canonical lower endpoint; the emitted rows carry
     the grad/ESS triple per perturbation.
     """
-    rows = []
     base_out = config.resolved_out_dir()
+    # every perturbed endpoint is checked before the first run
+    subs = [replace(config, h_lower=config.h_lower * (1.0 + delta),
+                    out_dir=str(base_out / f"hlower{delta:+.3f}"))
+            for delta in deltas]
     model = resolve_benchmark(config)  # h_lower does not change the model
-    for delta in deltas:
-        sub = replace(config, h_lower=config.h_lower * (1.0 + delta),
-                      out_dir=str(base_out / f"hlower{delta:+.3f}"))
+    rows = []
+    for delta, sub in zip(deltas, subs):
         _sample(sub, model, None, workers)
         rep = cmd_diagnose(sub.resolved_out_dir())
         rows.append({"delta": delta, "h_lower": sub.h_lower,
@@ -670,10 +672,10 @@ def _l_override(desc: str) -> dict:
     if desc == "tuned":
         return {}
     kind, value = parse_rule(desc)
-    fields = {"fixed": "l_fixed", "range": "l_range", "choice": "l_choices"}
-    if kind not in fields:
+    field_of = {"fixed": "l_fixed", "range": "l_range", "choice": "l_choices"}
+    if kind not in field_of:
         raise ConfigError(f"L rule '{desc}' must be fixed, range or choice")
-    return {fields[kind]: value}  # RunConfig checks for whole numbers
+    return {field_of[kind]: value}  # RunConfig checks for whole numbers
 
 
 def parse_rule(desc: str):

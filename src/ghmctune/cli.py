@@ -45,11 +45,11 @@ _CONFIG_FIELDS = [
     ("--seed", int, "root seed"),
     ("--out-dir", str, "output directory"),
     ("--dataset-path", str, "dataset file for blr-file"),
-    ("--integrator", str, "integrator override: vv, vv2, vv3, bcss2, bcss3, me2, me3 or saia3"),
+    ("--integrator", str, "integrator override: vv, vv2, vv3, bcss2, bcss3, me2 or me3; "
+                          "saia3, the tuned adaptive scheme, is the default"),
     ("--dt-fixed", float, "fixed step size override"),
     ("--l-fixed", int, "fixed trajectory length"),
     ("--phi-fixed", float, "fixed refresh noise"),
-    ("--fitting-mode", str, "fitting factor mode: auto, s, s_omega"),
     ("--ar-target", float, "burn-in target acceptance rate"),
     ("--h-lower", float, "lower endpoint of the dimensionless step interval"),
     ("--prior-std", float, "logistic regression prior standard deviation"),

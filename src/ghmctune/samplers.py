@@ -97,8 +97,9 @@ class DiscreteSet:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        if not vals or any(v < 1 for v in vals):
+        given = tuple(self.values)
+        vals = tuple(int(v) for v in given)
+        if not vals or any(v < 1 for v in vals) or vals != given:
             raise ValueError("values must be positive integers")
         object.__setattr__(self, "values", vals)
 
@@ -176,8 +177,9 @@ def check_rule(quantity: str, rule) -> None:
     """
     if quantity == "dt" and isinstance(rule, Fixed) and not rule.value > 0.0:
         raise ValueError("step size must be positive")
-    if quantity == "l" and isinstance(rule, Fixed) and rule.value < 1:
-        raise ValueError("L must be at least 1")
+    if quantity == "l" and isinstance(rule, Fixed) and not (
+            rule.value >= 1 and rule.value % 1 == 0):
+        raise ValueError("L must be a whole number, at least 1")
     if quantity == "phi":
         if isinstance(rule, Fixed) and not 0.0 < rule.value <= 1.0:
             raise ValueError("phi must lie in (0, 1]")

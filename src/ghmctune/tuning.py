@@ -283,33 +283,26 @@ def collect_frequencies(model, samples: np.ndarray):
     return omegas, float(omegas[-1]), float(np.std(omegas)), n_clamped
 
 
-def fitting_factor(stats: BurninStats, mode: str = "auto") -> float:
+def fitting_factor(stats: BurninStats) -> float:
     """Anharmonicity fitting factor from burn-in statistics.
 
-    With the full frequency spectrum available:
+    When the burn-in collected the frequency spectrum (the model has a Hessian):
 
         S_omega = max(1, (2 / dt_vv) * (2 pi (1 - AR)^2 / sum_j w_j^6)^(1/6)),
 
-    otherwise the cheaper form using only the maximum frequency:
+    otherwise the form using only the maximum frequency:
 
         S = max(1, (2 / (w_max dt_vv)) * (2 pi (1 - AR)^2 / D)^(1/6)).
 
     Both floor at 1; AR = 1 returns exactly 1 with a warning (zero measured
     energy error carries no anharmonicity information).
     """
-    if mode == "auto":
-        mode = "s_omega" if stats.has_frequencies else "s"
-    if mode not in ("s", "s_omega"):
-        raise ValueError("fitting mode must be 's', 's_omega' or 'auto'")
     if stats.ar >= 1.0:
         warnings.warn("acceptance rate is 1; fitting factor set to 1",
                       RuntimeWarning)
         return 1.0
     one_minus = 1.0 - stats.ar
-    if mode == "s_omega":
-        if not stats.has_frequencies:
-            raise TuningError("frequency spectrum unavailable: the model has "
-                              "no Hessian; use mode='s'")
+    if stats.has_frequencies:
         denom = float(np.sum(stats.omegas ** 6))
         value = (2.0 / stats.dt_vv) * (2.0 * math.pi * one_minus ** 2 / denom) ** (1.0 / 6.0)
     else:
@@ -333,8 +326,9 @@ def dimensionalization_factor(s_f: float, omega_max: float,
         spread = omega_max - omega_std
         if spread <= 0.0:
             raise TuningError(
-                "frequency spread exceeds the maximum frequency; the "
-                "dispersed correction is invalid here, use fitting mode 's'"
+                f"frequency spread {omega_std:g} is at least the maximum "
+                f"frequency {omega_max:g}; the dispersed correction "
+                "S_f (w_max - sigma) needs sigma < w_max"
             )
         return s_f * spread
     return s_f * omega_max
@@ -432,7 +426,8 @@ class TuningReport:
 
     The step-size interval endpoints always satisfy
     dt_colsi / dt_lower = 3 / h_lower exactly; phi endpoints are present for
-    GHMC only.
+    GHMC only.  ``fitting_mode`` records which fitting-factor form ran:
+    "s_omega" when the burn-in collected a frequency spectrum, else "s".
     """
 
     mode: str
@@ -481,24 +476,21 @@ class TuningReport:
         return TuningReport(**data)
 
 
-def produce_settings(stats: BurninStats, mode: str = "ghmc",
-                     fitting_mode: str = "auto",
-                     seed: int = 0,
+def produce_settings(stats: BurninStats, mode: str = "ghmc", seed: int = 0,
                      h_lower: float = H_LOWER):
     """Assemble the tuning report; ``config_from_report`` builds its config.
+
+    The fitting factor is S_omega when ``stats`` holds a frequency spectrum,
+    else S; the report records which.
 
     Args:
         stats: Burn-in statistics.
         mode: "ghmc" or "hmc"; HMC omits the refresh-noise interval.
-        fitting_mode: "s_omega", "s", or "auto" (spectrum-based when
-            available).
         seed: Root seed of the production chains, stored in the report.
         h_lower: Lower endpoint of the dimensionless step interval
             (perturbed by the sensitivity harness, 2.0772 otherwise).
     """
-    if fitting_mode == "auto":
-        fitting_mode = "s_omega" if stats.has_frequencies else "s"
-    s_f = fitting_factor(stats, fitting_mode)
+    s_f = fitting_factor(stats)
     cf = dimensionalization_factor(s_f, stats.omega_max, stats.omega_std)
     dt_lower, dt_colsi = stepsize_interval(cf, h_lower)
     if mode == "ghmc":
@@ -511,7 +503,7 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc",
     return TuningReport(
         mode=mode,
         dimension=stats.dimension,
-        fitting_mode=fitting_mode,
+        fitting_mode="s_omega" if stats.has_frequencies else "s",
         s_f=s_f,
         cf=cf,
         h_lower=h_lower,
@@ -550,16 +542,17 @@ def config_from_report(report: TuningReport) -> SamplerConfig:
 
 
 def atune(model, mode: str = "ghmc", n_burnin: int = 1000,
-          target_ar: float = _AR_TARGET_DEFAULT,
-          fitting_mode: str = "auto", seed: int = 0,
+          target_ar: float = _AR_TARGET_DEFAULT, seed: int = 0,
           h_lower: float = H_LOWER):
     """Burn-in plus analysis in one call.
+
+    The model decides the fitting-factor form: the burn-in collects the
+    spectrum that S_omega needs whenever the model has a Hessian.
 
     Returns:
         (TuningReport, BurninStats)
     """
     stats, _ = run_burnin(model, n_burnin, mode=mode, target_ar=target_ar,
                           seed=seed, h_lower=h_lower)
-    report = produce_settings(stats, mode=mode, fitting_mode=fitting_mode,
-                              seed=seed, h_lower=h_lower)
+    report = produce_settings(stats, mode=mode, seed=seed, h_lower=h_lower)
     return report, stats

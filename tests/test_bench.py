@@ -24,7 +24,7 @@ from ghmctune.bench import (
     parse_rule,
     resolve_benchmark,
 )
-from ghmctune.cli import main
+from ghmctune.cli import _CONFIG_FIELDS, _LIST_FIELDS, _SWITCHES, _field, main
 from ghmctune.samplers import ChainRecords
 
 
@@ -65,7 +65,10 @@ class TestRunConfig:
             _small_config(tmp_path, integrator=name)
 
     def test_integrator_name_folded(self, tmp_path):
-        assert _small_config(tmp_path, integrator="S-AIA3").integrator == "saia3"
+        # the tuned adaptive scheme has one spelling, the default None
+        tuned = _small_config(tmp_path, integrator="S-AIA3")
+        assert tuned.integrator is None
+        assert tuned.hash() == _small_config(tmp_path).hash()
         assert _small_config(tmp_path, integrator="BCSS_3").integrator == "bcss3"
 
     @pytest.mark.parametrize("field,value", [("psrf_statistic", "maxx"),
@@ -632,7 +635,8 @@ class TestCli:
         ('{"benchmark": "gauss-4", "dt_interval": 5}', "invalid run configuration"),
         ('["gauss-4"]', "JSON object"),
         ('{"benchmark": "gauss-4",', "--config"),
-        ('{"benchmark": "gauss-4", "l_fixed": 2.5}', "l_fixed")])
+        ('{"benchmark": "gauss-4", "l_fixed": 2.5}', "l_fixed"),
+        ('{"benchmark": "gauss-4", "fitting_mode": "auto"}', "fitting_mode")])
     def test_bad_config_file_exits_before_output(self, tmp_path, capsys, text,
                                                  name):
         cfg_file = tmp_path / "cfg.json"
@@ -654,6 +658,38 @@ class TestCli:
         assert main(["diagnose", str(out), *flags]) == 2
         assert not (out / "diagnostics.json").exists()
         assert main(["diagnose", str(out), "--window", "50"]) == 0
+
+    def test_manifest_with_dropped_field_diagnoses(self, tmp_path):
+        # run directories written before a RunConfig field was removed
+        out = tmp_path / "run"
+        cmd_sample(_small_config(tmp_path, mode="hmc", integrator="vv",
+                                 dt_fixed=0.3, l_fixed=2, n_prod=100))
+        assert main(["diagnose", str(out), "--window", "50"]) == 0
+        expected = (out / "diagnostics.json").read_text()
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["fitting_mode"] = "auto"
+        path.write_text(json.dumps(manifest))
+        (out / "diagnostics.json").unlink()
+        assert main(["diagnose", str(out), "--window", "50"]) == 0
+        assert (out / "diagnostics.json").read_text() == expected
+
+    def test_bad_sensitivity_delta_exits_before_output(self, tmp_path, capsys):
+        out = tmp_path / "sens"
+        code = main(["sensitivity", "--benchmark", "gauss-5", "--n-burnin",
+                     "200", "--n-prod", "100", "--n-chains", "1",
+                     "--deltas=0,-2", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "h_lower" in err
+        assert not out.exists()
+
+    def test_every_config_field_has_a_flag(self):
+        flags = ([_field(flag) for flag, _, _ in _CONFIG_FIELDS]
+                 + [_field(flag) for flag, _, _ in _LIST_FIELDS]
+                 + [field for _, field, _, _ in _SWITCHES])
+        assert len(flags) == len(set(flags))
+        assert set(flags) == {f.name for f in fields(RunConfig)}
 
     def test_tune_and_sample_flow(self, tmp_path, capsys):
         out = tmp_path / "cli-run"

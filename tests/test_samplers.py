@@ -196,6 +196,21 @@ class TestRunChain:
                           phi_rule=UniformInterval(0.5, 1.2),
                           scheme=build_scheme("vv"))
 
+    @pytest.mark.parametrize("rule", [lambda: Fixed(2.5), lambda: Fixed(math.nan),
+                                      lambda: Fixed(math.inf),
+                                      lambda: DiscreteSet((2.5, 5))],
+                             ids=["fixed-2.5", "fixed-nan", "fixed-inf", "set-2.5"])
+    def test_trajectory_length_must_be_whole(self, rule):
+        # the kernel would truncate L = 2.5 to 2
+        with pytest.raises(ValueError):
+            SamplerConfig(dt_rule=Fixed(0.1), l_rule=rule(),
+                          phi_rule=Fixed(1.0), scheme=build_scheme("vv"))
+
+    def test_whole_float_trajectory_lengths_accepted(self):
+        assert DiscreteSet((2.0, 5)).values == (2, 5)
+        config = _vv_config(l=2.0)
+        assert config.l_rule == Fixed(2.0)
+
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
     def test_fixed_step_must_be_positive(self, dt):
         with pytest.raises(ValueError, match="step size"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -114,7 +115,7 @@ class TestFittingFactor:
         stats = _stats(dimension=100, ar=0.95, dt_vv=0.5,
                        omegas=np.ones(100), omega_max=1.0)
         expected = max(1.0, (2.0 / 0.5) * (2 * math.pi * 0.05**2 / 100) ** (1 / 6))
-        assert fitting_factor(stats, "s_omega") == pytest.approx(expected, rel=1e-12)
+        assert fitting_factor(stats) == pytest.approx(expected, rel=1e-12)
 
     def test_two_printed_forms_agree(self):
         # oracle: the energy-error form with E = 4 pi (1-AR)^2 equals the
@@ -129,24 +130,20 @@ class TestFittingFactor:
                            omega_std=float(np.std(omegas)))
             e_vv = 4.0 * math.pi * (1.0 - ar) ** 2
             oracle = max(1.0, (1.0 / dt) * (32.0 * e_vv / np.sum(omegas**6)) ** (1 / 6))
-            assert fitting_factor(stats, "s_omega") == pytest.approx(oracle, rel=1e-12)
+            assert fitting_factor(stats) == pytest.approx(oracle, rel=1e-12)
 
     def test_s_mode_uses_max_frequency_only(self):
         stats = _stats(dimension=100, ar=0.95, dt_vv=0.5, omega_max=2.0)
         expected = max(1.0, (2.0 / (2.0 * 0.5))
                        * (2 * math.pi * 0.05**2 / 100) ** (1 / 6))
-        assert fitting_factor(stats, "s") == pytest.approx(expected, rel=1e-12)
+        assert fitting_factor(stats) == pytest.approx(expected, rel=1e-12)
 
     def test_nonincreasing_in_acceptance(self):
         values = [fitting_factor(_stats(dimension=5, ar=ar, dt_vv=0.02,
-                                        omega_max=4.0), "s")
+                                        omega_max=4.0))
                   for ar in (0.5, 0.7, 0.9, 0.99)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert min(values) >= 1.0
-
-    def test_s_omega_without_spectrum_errors(self):
-        with pytest.raises(TuningError):
-            fitting_factor(_stats(), "s_omega")
 
 
 class TestDimensionalization:
@@ -160,7 +157,7 @@ class TestDimensionalization:
         assert dimensionalization_factor(1.0, 2.0, 1.0) == 2.0
 
     def test_invalid_spread(self):
-        with pytest.raises(TuningError):
+        with pytest.raises(TuningError, match="at least the maximum frequency"):
             dimensionalization_factor(1.0, 1.2, 1.3)
 
 
@@ -299,6 +296,19 @@ class TestProduceSettings:
         h_drawn = report.cf * records.dt
         assert np.all(h_drawn >= H_LOWER - 1e-9)
         assert np.all(h_drawn <= 3.0 + 1e-9)
+
+    def test_model_without_hessian_tunes_with_s(self):
+        # without a Hessian there is no spectrum, so the S form runs
+        spec = gen_wishart_precision(5, seed=2)
+        model = dataclasses.replace(gaussian_model(spec, name="g5"), hessian=None)
+        report, stats = atune(model, mode="ghmc", n_burnin=500, seed=2)
+        assert not stats.has_frequencies
+        assert report.fitting_mode == "s"
+        assert TuningReport.from_json(report.to_json()) == report  # invariants
+        samples, records = run_chain(model, config_from_report(report), 200)
+        assert np.all(np.isfinite(samples))
+        assert np.all(report.cf * records.dt >= H_LOWER - 1e-9)
+        assert np.all(report.cf * records.dt <= 3.0 + 1e-9)
 
     def test_config_from_report_round_trip(self):
         report = produce_settings(_stats(dimension=30), seed=8)
