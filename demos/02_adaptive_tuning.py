@@ -29,7 +29,7 @@ config = config_from_report(report)
 print(f"burn-in acceptance rate:     {stats.ar:.3f}")
 print(f"final burn-in step size:     {stats.dt_vv:.5f}")
 print(f"mean |dH| in the window:     {stats.energy_error:.4f}")
-print(f"fitting factor S_f:          {report.s_f:.4f}  (mode {report.fitting_mode})")
+print(f"fitting factor S_f:          {report.s_f:.4f}")
 print(f"dimensionalization CF:       {report.cf:.4f}")
 print(f"step interval:               ({report.dt_lower:.5f}, {report.dt_colsi:.5f})")
 print(f"  ratio (always 3/2.0772):   {report.dt_colsi / report.dt_lower:.6f}")

@@ -51,6 +51,7 @@ from .diagnostics import (
 )
 from .integrators import H_COLSI3, H_LOWER, SCHEME_NAMES, build_scheme, scheme_key
 from .models import (
+    DatasetError,
     TargetModel,
     banana_model,
     blr_model,
@@ -176,6 +177,8 @@ class RunConfig:
         if self.ess_method not in ESS_METHODS:
             raise ConfigError(f"ess_method '{self.ess_method}' is not one of "
                               f"{', '.join(ESS_METHODS)}")
+        if self.window is not None and self.window < 1:
+            raise ConfigError(f"window={self.window}: must be at least 1")
         for tpl_field in ("dt_interval", "l_range", "l_choices", "phi_interval"):
             val = getattr(self, tpl_field)
             if val is not None:
@@ -221,23 +224,30 @@ def resolve_benchmark(config: RunConfig) -> TargetModel:
 
     Registered names: ``gauss-<D>`` (precision drawn from Wishart(I_D, D)
     with the run seed), ``blr-synthetic-<D>-<K>``, ``blr-file`` (reads
-    ``dataset_path``), ``banana``.
+    ``dataset_path``), ``banana``.  Settings a model constructor rejects
+    (``gauss-0``, a non-positive ``prior_std``) are a ConfigError; a
+    malformed dataset stays a DatasetError.
     """
     name = config.benchmark
-    m = re.fullmatch(r"gauss-(\d+)", name)
-    if m:
-        d = int(m.group(1))
-        spec = gen_wishart_precision(d, seed=config.seed)
-        return gaussian_model(spec, name=name)
-    m = re.fullmatch(r"blr-synthetic-(\d+)-(\d+)", name)
-    if m or name == "blr-file":
-        data = (make_synthetic_blr(int(m.group(1)), int(m.group(2)), seed=config.seed)
-                if m else load_dataset(config.dataset_path))
-        if config.standardize:
-            data = data.standardized()
-        return blr_model(data, prior_std=config.prior_std, name=name)
-    if name == "banana":
-        return banana_model(make_banana_spec(seed=config.seed), name=name)
+    try:
+        m = re.fullmatch(r"gauss-(\d+)", name)
+        if m:
+            d = int(m.group(1))
+            spec = gen_wishart_precision(d, seed=config.seed)
+            return gaussian_model(spec, name=name)
+        m = re.fullmatch(r"blr-synthetic-(\d+)-(\d+)", name)
+        if m or name == "blr-file":
+            data = (make_synthetic_blr(int(m.group(1)), int(m.group(2)), seed=config.seed)
+                    if m else load_dataset(config.dataset_path))
+            if config.standardize:
+                data = data.standardized()
+            return blr_model(data, prior_std=config.prior_std, name=name)
+        if name == "banana":
+            return banana_model(make_banana_spec(seed=config.seed), name=name)
+    except DatasetError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"benchmark '{name}': {exc}") from None
     raise ConfigError(
         f"unknown benchmark '{name}'; expected gauss-<D>, "
         "blr-synthetic-<D>-<K>, blr-file or banana"
@@ -568,8 +578,11 @@ def cmd_compare(dir_a: str | Path, dir_b: str | Path,
 
     REF > 1 means A needed fewer gradients (or less time) per effective
     sample.  ``overhead_factor_b`` scales B's metrics to account for
-    tuning-stage overheads measured outside the sampling loop.
+    tuning-stage overheads measured outside the sampling loop; it must be
+    positive, and is checked before either run is read.
     """
+    if not overhead_factor_b > 0:
+        raise ConfigError(f"overhead_factor_b={overhead_factor_b}: must be positive")
     table = {}
     rep_a = _load_or_diagnose(dir_a)
     rep_b = _load_or_diagnose(dir_b)

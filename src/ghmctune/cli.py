@@ -192,7 +192,12 @@ def main(argv=None) -> int:
             config = _config_from_args(args)
             report = None
             if args.report:
-                report = TuningReport.from_json(Path(args.report).read_text())
+                text = Path(args.report).read_text()
+                try:
+                    report = TuningReport.from_json(text)
+                except (ValueError, TypeError, AttributeError) as exc:
+                    # bad JSON, not an object, a missing field, a broken invariant
+                    raise ConfigError(f"--report {args.report}: {exc}") from None
             artifacts = cmd_sample(config, report=report, workers=args.workers)
             print(f"run written to {artifacts.out_dir}")
         elif args.command == "diagnose":

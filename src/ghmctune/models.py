@@ -54,6 +54,8 @@ class TargetModel:
         potential: Map theta -> U(theta), a scalar.
         gradient: Map theta -> grad U(theta), shape (D,).
         hessian: Optional map theta -> Hessian of U, shape (D, D), symmetric.
+            Tuning differentiates ``gradient`` instead when it is None, at
+            2 D gradient calls per Hessian.
         name: Short identifier used in reports.
     """
 
@@ -66,10 +68,6 @@ class TargetModel:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("model dimension must be a positive integer")
-
-    @property
-    def has_hessian(self) -> bool:
-        return self.hessian is not None
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import Optional
 
 import numpy as np
@@ -72,6 +72,9 @@ _PHI_LOG_ALPHA = -math.log(0.999)
 
 _AR_TARGET_DEFAULT = 0.95
 _AR_WINDOW = 40  # burn-in iterations in the step size's acceptance estimate
+# Central-difference step scale: cbrt(machine eps) balances truncation and
+# round-off error for second-order differences.
+_FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
 class TuningError(RuntimeError):
@@ -87,11 +90,9 @@ class BurninStats:
         ar: Acceptance rate over the measurement window.
         dt_vv: Final adapted step size.
         energy_error: Mean |dH| over the measurement window.
-        omegas: Averaged sorted frequency spectrum, or None when the model
-            has no Hessian.
-        omega_max: Maximum frequency; estimated from the acceptance rate when
-            the spectrum is unavailable.
-        omega_std: Standard deviation of the spectrum (0 without spectrum).
+        omegas: Averaged sorted frequency spectrum (``collect_frequencies``).
+        omega_max: Maximum frequency, the last entry of ``omegas``.
+        omega_std: Standard deviation of the spectrum.
         n_iterations: Burn-in length.
         n_divergent: Divergent proposals seen during burn-in.
         n_clamped: Negative Hessian eigenvalues clamped to zero.
@@ -101,7 +102,7 @@ class BurninStats:
     ar: float
     dt_vv: float
     energy_error: float
-    omegas: Optional[np.ndarray]
+    omegas: np.ndarray
     omega_max: float
     omega_std: float
     n_iterations: int
@@ -113,15 +114,10 @@ class BurninStats:
             raise ValueError("acceptance rate must lie in [0, 1]")
         if self.dt_vv <= 0:
             raise ValueError("dt_vv must be positive")
-        if self.omegas is not None:
-            w = np.sort(np.asarray(self.omegas, dtype=float))
-            object.__setattr__(self, "omegas", w)
-            if abs(self.omega_max - w[-1]) > 1e-12 * max(1.0, w[-1]):
-                raise ValueError("omega_max must equal the largest frequency")
-
-    @property
-    def has_frequencies(self) -> bool:
-        return self.omegas is not None
+        w = np.sort(np.asarray(self.omegas, dtype=float))
+        object.__setattr__(self, "omegas", w)
+        if abs(self.omega_max - w[-1]) > 1e-12 * max(1.0, w[-1]):
+            raise ValueError("omega_max must equal the largest frequency")
 
 
 def adapt_step_size(ar_estimate: float, dt: float, target_ar: float,
@@ -150,8 +146,8 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
     momentum refresh noise is drawn from the dimension-derived interval (it
     needs nothing besides D, so it is available before the burn-in starts).
     The acceptance rate and mean |dH| are measured over the second half of
-    the run, after the step-size adaptation has mostly settled; so are the
-    Hessian eigenfrequencies, for models that have a Hessian.
+    the run, after the step-size adaptation has mostly settled; so is the
+    frequency spectrum (``collect_frequencies``).
 
     Returns:
         (stats, samples): BurninStats plus the burn-in positions, shape
@@ -213,20 +209,13 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
     # divergent proposals carry no energy-error information
     kept = ~records.divergent[half:]
     energy_error = float(np.mean(np.abs(records.delta_h[half:][kept])))
-    dt_vv = dt
 
-    n_clamped = 0
-    if model.has_hessian:
-        omegas, omega_max, omega_std, n_clamped = collect_frequencies(
-            model, samples[half:])
-    else:
-        omegas = None
-        omega_std = 0.0
-        omega_max = _acceptance_implied_omega_max(ar, dt_vv, d, half)
+    omegas, omega_max, omega_std, n_clamped = collect_frequencies(
+        model, samples[half:])
     stats = BurninStats(
         dimension=d,
         ar=ar,
-        dt_vv=dt_vv,
+        dt_vv=dt,
         energy_error=energy_error,
         omegas=omegas,
         omega_max=omega_max,
@@ -238,22 +227,21 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
     return stats, samples
 
 
-def _acceptance_implied_omega_max(ar: float, dt_vv: float, d: int,
-                                  n_window: int) -> float:
-    """Frequency scale implied by the burn-in acceptance rate.
+def _gradient_difference_hessian(gradient, theta: np.ndarray) -> np.ndarray:
+    """Central differences of ``gradient`` at ``theta``, symmetrised.
 
-    Without Hessian spectra the highest frequency is estimated by inverting
-    the acceptance-rate/energy-error relation for the one-stage integrator:
-    omega_max = (2 / dt) * (2 pi (1 - AR)^2 / D)^(1/6).  The fitting factor
-    then equals 1 by construction, matching the harmonic assumption this
-    estimate encodes.  AR is capped just below 1 at the resolution of the
-    measurement window so a perfect window never yields a zero frequency.
+    Component i steps by cbrt(eps) * max(1, |theta_i|); 2 D gradient calls.
     """
-    ar_capped = min(ar, 1.0 - 0.5 / max(n_window, 1))
-    if ar >= 1.0:
-        warnings.warn("burn-in accepted everything; frequency scale capped "
-                      "at the window resolution", RuntimeWarning)
-    return (2.0 / dt_vv) * (2.0 * math.pi * (1.0 - ar_capped) ** 2 / d) ** (1.0 / 6.0)
+    d = theta.size
+    h = np.empty((d, d))
+    for i in range(d):
+        step = _FD_STEP * max(1.0, abs(theta[i]))
+        tp = theta.copy()
+        tm = theta.copy()
+        tp[i] += step
+        tm[i] -= step
+        h[i] = (gradient(tp) - gradient(tm)) / (2.0 * step)
+    return 0.5 * (h + h.T)
 
 
 def collect_frequencies(model, samples: np.ndarray):
@@ -262,21 +250,22 @@ def collect_frequencies(model, samples: np.ndarray):
     For each of ten evenly spaced samples the Hessian is
     eigendecomposed; frequencies are square roots of the eigenvalues with
     negative values clamped to zero and counted.  Sorted spectra are averaged
-    position-wise.
+    position-wise.  The Hessian is ``model.hessian`` when the model has one,
+    otherwise central differences of ``model.gradient``, which cost 2 D
+    gradient calls per sample (20 D in all).
 
     Returns:
         (omegas, omega_max, omega_std, n_clamped)
     """
-    if not model.has_hessian:
-        raise TuningError(f"model '{model.name}' has no Hessian; use the "
-                          "acceptance-based fitting factor instead")
+    hessian = model.hessian or (
+        lambda theta: _gradient_difference_hessian(model.gradient, theta))
     samples = np.atleast_2d(samples)
     idx = np.unique(np.linspace(0, samples.shape[0] - 1,
                                 min(10, samples.shape[0])).astype(int))
     spectra = []
     n_clamped = 0
     for i in idx:
-        eigvals = np.linalg.eigvalsh(model.hessian(samples[i]))
+        eigvals = np.linalg.eigvalsh(hessian(samples[i]))
         n_clamped += int(np.sum(eigvals < 0.0))
         spectra.append(np.sqrt(np.clip(eigvals, 0.0, None)))
     omegas = np.sort(np.mean(np.sort(np.asarray(spectra), axis=1), axis=0))
@@ -284,30 +273,21 @@ def collect_frequencies(model, samples: np.ndarray):
 
 
 def fitting_factor(stats: BurninStats) -> float:
-    """Anharmonicity fitting factor from burn-in statistics.
+    """Anharmonicity fitting factor S_omega from burn-in statistics.
 
-    When the burn-in collected the frequency spectrum (the model has a Hessian):
+        S_omega = max(1, (2 / dt_vv) * (2 pi (1 - AR)^2 / sum_j w_j^6)^(1/6))
 
-        S_omega = max(1, (2 / dt_vv) * (2 pi (1 - AR)^2 / sum_j w_j^6)^(1/6)),
-
-    otherwise the form using only the maximum frequency:
-
-        S = max(1, (2 / (w_max dt_vv)) * (2 pi (1 - AR)^2 / D)^(1/6)).
-
-    Both floor at 1; AR = 1 returns exactly 1 with a warning (zero measured
-    energy error carries no anharmonicity information).
+    over the burn-in's frequency spectrum w.  AR = 1 returns exactly 1 with a
+    warning (zero measured energy error carries no anharmonicity
+    information).
     """
     if stats.ar >= 1.0:
         warnings.warn("acceptance rate is 1; fitting factor set to 1",
                       RuntimeWarning)
         return 1.0
-    one_minus = 1.0 - stats.ar
-    if stats.has_frequencies:
-        denom = float(np.sum(stats.omegas ** 6))
-        value = (2.0 / stats.dt_vv) * (2.0 * math.pi * one_minus ** 2 / denom) ** (1.0 / 6.0)
-    else:
-        value = (2.0 / (stats.omega_max * stats.dt_vv)) * (
-            2.0 * math.pi * one_minus ** 2 / stats.dimension) ** (1.0 / 6.0)
+    denom = float(np.sum(stats.omegas ** 6))
+    value = (2.0 / stats.dt_vv) * (
+        2.0 * math.pi * (1.0 - stats.ar) ** 2 / denom) ** (1.0 / 6.0)
     return max(1.0, value)
 
 
@@ -426,13 +406,12 @@ class TuningReport:
 
     The step-size interval endpoints always satisfy
     dt_colsi / dt_lower = 3 / h_lower exactly; phi endpoints are present for
-    GHMC only.  ``fitting_mode`` records which fitting-factor form ran:
-    "s_omega" when the burn-in collected a frequency spectrum, else "s".
+    GHMC only.  ``s_f`` is the fitting factor S_omega.  ``from_json`` ignores
+    keys that are not fields, so reports holding since-removed keys still load.
     """
 
     mode: str
     dimension: int
-    fitting_mode: str
     s_f: float
     cf: float
     h_lower: float
@@ -470,7 +449,8 @@ class TuningReport:
 
     @staticmethod
     def from_json(text: str) -> "TuningReport":
-        data = json.loads(text)
+        names = {f.name for f in fields(TuningReport)}
+        data = {k: v for k, v in json.loads(text).items() if k in names}
         if data.get("l_choices") is not None:
             data["l_choices"] = tuple(data["l_choices"])
         return TuningReport(**data)
@@ -479,9 +459,6 @@ class TuningReport:
 def produce_settings(stats: BurninStats, mode: str = "ghmc", seed: int = 0,
                      h_lower: float = H_LOWER):
     """Assemble the tuning report; ``config_from_report`` builds its config.
-
-    The fitting factor is S_omega when ``stats`` holds a frequency spectrum,
-    else S; the report records which.
 
     Args:
         stats: Burn-in statistics.
@@ -503,7 +480,6 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc", seed: int = 0,
     return TuningReport(
         mode=mode,
         dimension=stats.dimension,
-        fitting_mode="s_omega" if stats.has_frequencies else "s",
         s_f=s_f,
         cf=cf,
         h_lower=h_lower,
@@ -545,9 +521,6 @@ def atune(model, mode: str = "ghmc", n_burnin: int = 1000,
           target_ar: float = _AR_TARGET_DEFAULT, seed: int = 0,
           h_lower: float = H_LOWER):
     """Burn-in plus analysis in one call.
-
-    The model decides the fitting-factor form: the burn-in collects the
-    spectrum that S_omega needs whenever the model has a Hessian.
 
     Returns:
         (TuningReport, BurninStats)

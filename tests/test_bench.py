@@ -25,6 +25,7 @@ from ghmctune.bench import (
     resolve_benchmark,
 )
 from ghmctune.cli import _CONFIG_FIELDS, _LIST_FIELDS, _SWITCHES, _field, main
+from ghmctune.models import DatasetError
 from ghmctune.samplers import ChainRecords
 
 
@@ -72,7 +73,8 @@ class TestRunConfig:
         assert _small_config(tmp_path, integrator="BCSS_3").integrator == "bcss3"
 
     @pytest.mark.parametrize("field,value", [("psrf_statistic", "maxx"),
-                                             ("ess_method", "foo")])
+                                             ("ess_method", "foo"),
+                                             ("window", 0), ("window", -30)])
     def test_diagnose_settings_checked(self, tmp_path, field, value):
         with pytest.raises(ConfigError, match=field):
             _small_config(tmp_path, **{field: value})
@@ -99,7 +101,7 @@ class TestBenchmarks:
     def test_gauss_preset(self, tmp_path):
         model = resolve_benchmark(_small_config(tmp_path))
         assert model.dimension == 5
-        assert model.has_hessian
+        assert model.hessian is not None
 
     def test_blr_synthetic_preset(self, tmp_path):
         model = resolve_benchmark(
@@ -120,6 +122,23 @@ class TestBenchmarks:
     def test_unknown_benchmark(self, tmp_path):
         with pytest.raises(ConfigError):
             resolve_benchmark(_small_config(tmp_path, benchmark="funnel-9"))
+
+    @pytest.mark.parametrize("name,overrides", [
+        ("gauss-0", {}), ("blr-synthetic-1-50", {}),
+        ("blr-synthetic-5-50", {"prior_std": -1.0})])
+    def test_rejected_model_settings_are_config_errors(self, tmp_path, name,
+                                                       overrides):
+        config = _small_config(tmp_path, benchmark=name, **overrides)
+        with pytest.raises(ConfigError, match=f"benchmark '{name}'"):
+            resolve_benchmark(config)
+
+    def test_malformed_dataset_stays_dataset_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("0.1,0.5,1\n0.2,-0.3,2\n")
+        config = _small_config(tmp_path, benchmark="blr-file",
+                               dataset_path=str(path))
+        with pytest.raises(DatasetError, match="labels must be 0 or 1"):
+            resolve_benchmark(config)
 
 
 EDGE_CHAINS = pytest.mark.parametrize("samples", [
@@ -576,8 +595,12 @@ class TestCli:
 
     @pytest.mark.parametrize("flags,code", [
         (["--benchmark", "nope-3"], 2),
-        (["--benchmark", "blr-file", "--dataset-path", "missing.csv"], 4)],
-        ids=["unknown-benchmark", "missing-dataset"])
+        (["--benchmark", "blr-file", "--dataset-path", "missing.csv"], 4),
+        (["--benchmark", "gauss-0"], 2),
+        (["--benchmark", "blr-synthetic-1-50"], 2),
+        (["--benchmark", "blr-synthetic-5-50", "--prior-std", "-1"], 2)],
+        ids=["unknown-benchmark", "missing-dataset", "gauss-0",
+             "blr-without-covariate", "negative-prior-std"])
     def test_untuned_run_of_unbuildable_model_exits_before_output(
             self, tmp_path, flags, code):
         out = tmp_path / "never"
@@ -650,7 +673,8 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--psrf-statistic", "maxx"],
-                                       ["--ess-method", "foo"]])
+                                       ["--ess-method", "foo"],
+                                       ["--window=-30"], ["--window", "0"]])
     def test_diagnose_rejects_unknown_settings(self, tmp_path, flags):
         out = tmp_path / "run"
         cmd_sample(_small_config(tmp_path, mode="hmc", integrator="vv",
@@ -658,6 +682,45 @@ class TestCli:
         assert main(["diagnose", str(out), *flags]) == 2
         assert not (out / "diagnostics.json").exists()
         assert main(["diagnose", str(out), "--window", "50"]) == 0
+
+    @pytest.mark.parametrize("factor", ["0", "-1"])
+    def test_compare_rejects_nonpositive_overhead_factor(self, tmp_path, capsys,
+                                                         factor):
+        # checked before either run is read: missing runs would exit 4
+        code = main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                     f"--overhead-factor-b={factor}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "overhead_factor_b" in err
+
+    @pytest.mark.parametrize("case", ["truncated", "doubled-dt-lower",
+                                      "missing-cf"])
+    def test_malformed_report_exits_before_output(self, tmp_path, capsys,
+                                                  case):
+        tuned = tmp_path / "tuned"
+        assert main(["tune", "--benchmark", "gauss-4", "--n-burnin", "200",
+                     "--seed", "1", "--out-dir", str(tuned)]) == 0
+        capsys.readouterr()
+        path = tuned / "tuning_report.json"
+        text = path.read_text()
+        report = json.loads(text)
+        if case == "truncated":
+            text = text[:len(text) // 2]
+        elif case == "doubled-dt-lower":
+            report["dt_lower"] *= 2.0
+            text = json.dumps(report)
+        else:
+            del report["cf"]
+            text = json.dumps(report)
+        path.write_text(text)
+        out = tmp_path / "never"
+        code = main(["sample", "--benchmark", "gauss-4", "--n-prod", "100",
+                     "--n-chains", "1", "--seed", "1", "--report", str(path),
+                     "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "--report" in err
+        assert not out.exists()
 
     def test_manifest_with_dropped_field_diagnoses(self, tmp_path):
         # run directories written before a RunConfig field was removed

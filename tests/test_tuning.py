@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from ghmctune.bench import RunConfig, resolve_benchmark
 from ghmctune.integrators import H_LOWER
 from ghmctune.models import (
     TargetModel,
@@ -34,6 +36,9 @@ from ghmctune.tuning import (
 
 def _stats(dimension=10, ar=0.95, dt_vv=0.5, energy=0.01, omegas=None,
            omega_max=1.0, omega_std=0.0):
+    # a flat spectrum at omega_max unless one is given
+    if omegas is None:
+        omegas = np.full(dimension, omega_max)
     return BurninStats(dimension=dimension, ar=ar, dt_vv=dt_vv,
                        energy_error=energy, omegas=omegas,
                        omega_max=omega_max, omega_std=omega_std,
@@ -100,10 +105,16 @@ class TestCollectFrequencies:
         assert clamped == 5
         assert omegas[0] == 0.0 and omega_max == 2.0
 
-    def test_requires_hessian(self):
-        model = TargetModel(1, lambda th: 0.0, lambda th: np.zeros(1), None, "nohess")
-        with pytest.raises(TuningError):
-            collect_frequencies(model, np.zeros((5, 1)))
+    def test_gradient_differences_without_hessian(self):
+        # the diagonal-spectrum case, from central differences of the gradient
+        model = dataclasses.replace(gaussian_model(np.diag([1.0, 4.0, 9.0])),
+                                    hessian=None)
+        samples = 3.0 * np.random.default_rng(0).standard_normal((20, 3))
+        omegas, omega_max, omega_std, clamped = collect_frequencies(model, samples)
+        assert omegas == pytest.approx([1.0, 2.0, 3.0], abs=1e-8)
+        assert omega_max == pytest.approx(3.0, abs=1e-8)
+        assert omega_std == pytest.approx(np.std([1.0, 2.0, 3.0]), abs=1e-8)
+        assert clamped == 0
 
 
 class TestFittingFactor:
@@ -132,7 +143,8 @@ class TestFittingFactor:
             oracle = max(1.0, (1.0 / dt) * (32.0 * e_vv / np.sum(omegas**6)) ** (1 / 6))
             assert fitting_factor(stats) == pytest.approx(oracle, rel=1e-12)
 
-    def test_s_mode_uses_max_frequency_only(self):
+    def test_flat_spectrum_uses_max_frequency_only(self):
+        # sum_j w_j^6 = D w_max^6 for a flat spectrum
         stats = _stats(dimension=100, ar=0.95, dt_vv=0.5, omega_max=2.0)
         expected = max(1.0, (2.0 / (2.0 * 0.5))
                        * (2 * math.pi * 0.05**2 / 100) ** (1 / 6))
@@ -297,18 +309,29 @@ class TestProduceSettings:
         assert np.all(h_drawn >= H_LOWER - 1e-9)
         assert np.all(h_drawn <= 3.0 + 1e-9)
 
-    def test_model_without_hessian_tunes_with_s(self):
-        # without a Hessian there is no spectrum, so the S form runs
-        spec = gen_wishart_precision(5, seed=2)
-        model = dataclasses.replace(gaussian_model(spec, name="g5"), hessian=None)
-        report, stats = atune(model, mode="ghmc", n_burnin=500, seed=2)
-        assert not stats.has_frequencies
-        assert report.fitting_mode == "s"
-        assert TuningReport.from_json(report.to_json()) == report  # invariants
-        samples, records = run_chain(model, config_from_report(report), 200)
-        assert np.all(np.isfinite(samples))
-        assert np.all(report.cf * records.dt >= H_LOWER - 1e-9)
-        assert np.all(report.cf * records.dt <= 3.0 + 1e-9)
+    @pytest.mark.parametrize("name,seed,l_rule", [
+        ("gauss-5", 2, Fixed(1)),
+        ("gauss-100", 0, Fixed(1)),
+        ("gauss-100", 1, Fixed(1)),
+        ("blr-synthetic-25-1000", 1, Fixed(1)),
+        ("banana", 0, Fixed(1)),
+        ("gauss-500", 0, DiscreteSet((2, 5, 7)))])
+    def test_hessian_free_tuning_matches_hessian(self, name, seed, l_rule):
+        # without a Hessian the spectrum comes from gradient differences
+        model = resolve_benchmark(RunConfig(benchmark=name, seed=seed))
+        exact, _ = atune(model, n_burnin=1000, seed=seed)
+        free, _ = atune(dataclasses.replace(model, hessian=None),
+                        n_burnin=1000, seed=seed)
+        assert free.s_f == pytest.approx(exact.s_f, rel=1e-6)
+        assert free.cf == pytest.approx(exact.cf, rel=1e-6)
+        assert free.l_rule() == exact.l_rule() == l_rule
+
+    def test_report_of_older_version_loads(self):
+        # older reports carry the removed fitting_mode key
+        report = produce_settings(_stats(dimension=40), seed=3)
+        data = json.loads(report.to_json())
+        data["fitting_mode"] = "s_omega"
+        assert TuningReport.from_json(json.dumps(data)) == report
 
     def test_config_from_report_round_trip(self):
         report = produce_settings(_stats(dimension=30), seed=8)
