@@ -103,10 +103,11 @@ class ConfigError(ValueError):
 class RunConfig:
     """Benchmark run description; every field maps to a CLI flag.
 
-    Overrides replace the corresponding tuned setting; leaving them unset
-    keeps the values from the tuning report.  ``integrator`` names a fixed
-    scheme (``SCHEME_NAMES``), stored folded by ``scheme_key``; None or
-    "saia3" is the tuned adaptive one, stored as None.
+    Overrides replace the corresponding tuned setting, at most one per
+    quantity; leaving them unset keeps the values from the tuning report.
+    ``integrator`` names a fixed scheme (``SCHEME_NAMES``), stored folded by
+    ``scheme_key``; one of fewer than three stages needs a step override.
+    None or "saia3" is the tuned adaptive one, stored as None.
     """
 
     benchmark: str
@@ -129,7 +130,6 @@ class RunConfig:
     # knobs
     ar_target: float = 0.95
     h_lower: float = H_LOWER
-    standardize: bool = True
     prior_std: float = 10.0
     binary_chains: bool = True  # .npy chains and records; False writes CSV
     psrf_statistic: str = "max"
@@ -153,12 +153,6 @@ class RunConfig:
         if self.mode == "hmc" and (self.phi_fixed not in (None, 1.0)
                                    or self.phi_interval is not None):
             raise ConfigError("phi overrides are forbidden in HMC mode")
-        l_overrides = [v for v in (self.l_fixed, self.l_range, self.l_choices)
-                       if v is not None]
-        if len(l_overrides) > 1:
-            raise ConfigError("give at most one of l_fixed, l_range, l_choices")
-        if self.dt_fixed is not None and self.dt_interval is not None:
-            raise ConfigError("give at most one of dt_fixed, dt_interval")
         if self.benchmark.startswith("blr-file") and not self.dataset_path:
             raise ConfigError("blr-file benchmark requires dataset_path")
         if self.warm_start and not re.fullmatch(r"gauss-\d+", self.benchmark):
@@ -186,7 +180,12 @@ class RunConfig:
         for name in ("l_fixed", "l_range", "l_choices"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _whole(name, getattr(self, name)))
-        _override_rules(self)  # range-check the overrides before any output
+        rules = _override_rules(self)  # range-check the overrides before any output
+        # the tuned step interval is set for three-stage schemes
+        if (self.integrator is not None and "dt" not in rules
+                and build_scheme(self.integrator).stages < 3):
+            raise ConfigError(f"integrator '{self.integrator}' has fewer than "
+                              "three stages: give dt_fixed or dt_interval")
 
     def to_dict(self) -> dict:
         return {key: list(val) if isinstance(val, tuple) else val
@@ -239,9 +238,7 @@ def resolve_benchmark(config: RunConfig) -> TargetModel:
         if m or name == "blr-file":
             data = (make_synthetic_blr(int(m.group(1)), int(m.group(2)), seed=config.seed)
                     if m else load_dataset(config.dataset_path))
-            if config.standardize:
-                data = data.standardized()
-            return blr_model(data, prior_std=config.prior_std, name=name)
+            return blr_model(data.standardized(), prior_std=config.prior_std, name=name)
         if name == "banana":
             return banana_model(make_banana_spec(seed=config.seed), name=name)
     except DatasetError:
@@ -259,8 +256,6 @@ class RunArtifacts:
     out_dir: Path
     manifest: dict
     chain_paths: list
-    record_paths: list
-    tuning_report_path: Optional[Path] = None
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +343,15 @@ _OVERRIDE_RULES = {
 
 
 def _override_rules(config: RunConfig) -> dict:
-    """Draw rules of the set overrides, keyed "dt", "l" or "phi"; checked."""
-    rules = {}
+    """Checked draw rules of the set overrides, one per "dt", "l" or "phi"."""
+    rules, given = {}, {}
     for name, (quantity, build) in _OVERRIDE_RULES.items():
         value = getattr(config, name)
         if value is None:
             continue
+        if quantity in given:
+            raise ConfigError(f"give at most one of {given[quantity]}, {name}")
+        given[quantity] = name
         try:
             rules[quantity] = build(value)
             check_rule(quantity, rules[quantity])
@@ -469,11 +467,11 @@ def _sample(config: RunConfig, model: TargetModel,
             report: Optional[TuningReport], workers: int) -> RunArtifacts:
     pool_context = _pool_context(workers)
     out = config.resolved_out_dir()
-    report_path = None
-    if report is None and (config.dt_fixed is None and config.dt_interval is None
-                           or config.integrator is None):
+    tuned_inline = report is None and (
+        config.dt_fixed is None and config.dt_interval is None
+        or config.integrator is None)
+    if tuned_inline:
         report = _tune(config, model, out)
-        report_path = out / "tuning_report.json"
     elif report is not None and report.dimension != model.dimension:
         raise ConfigError(f"the tuning report is for dimension {report.dimension}, "
                           f"{config.benchmark} has dimension {model.dimension}")
@@ -516,7 +514,7 @@ def _sample(config: RunConfig, model: TargetModel,
         "stages": sampler_config.scheme.stages,
         "chain_files": chain_files,
         "record_files": record_files,
-        "tuning_report": "tuning_report.json" if report_path else None,
+        "tuning_report": "tuning_report.json" if tuned_inline else None,
         "timings": {"sampling_seconds": sampling_seconds,
                     "write_seconds": write_seconds},
         "total_grads": total_grads,
@@ -524,7 +522,7 @@ def _sample(config: RunConfig, model: TargetModel,
         "environment": _environment(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    return RunArtifacts(out, manifest, chain_files, record_files, report_path)
+    return RunArtifacts(out, manifest, chain_files)
 
 
 def _environment() -> dict:

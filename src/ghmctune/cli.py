@@ -67,7 +67,6 @@ _LIST_FIELDS = [
 ]
 # (flag, field, value the flag sets, help) of the store_true switches
 _SWITCHES = [
-    ("--no-standardize", "standardize", False, "skip covariate standardization for BLR data"),
     ("--text-chains", "binary_chains", False, "write chains and records as CSV, not .npy"),
     ("--warm-start", "warm_start", True, "start gauss-<D> chains from exact target draws"),
 ]

@@ -327,18 +327,6 @@ class ChainSet:
         if self.records and len(self.records) != s.shape[0]:
             raise ValueError("one record set per chain required")
 
-    @property
-    def n_chains(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_iterations(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def dimension(self) -> int:
-        return self.samples.shape[2]
-
     def total_grads(self, upto: Optional[int] = None) -> int:
         return int(sum(r.total_grads(upto) for r in self.records))
 

@@ -482,8 +482,7 @@ def vv_ratio_roots(k: int) -> list[float]:
 
 
 def apply_leg(kicks: tuple, drifts: tuple, model, theta: np.ndarray,
-              p: np.ndarray, dt: float, n_steps: int,
-              grad: np.ndarray | None = None):
+              p: np.ndarray, dt: float, n_steps: int, grad: np.ndarray):
     """Integrate n_steps unit-mass steps; touching end-kicks share one gradient.
 
     The last kick of a step and the first kick of the next use the same
@@ -497,19 +496,15 @@ def apply_leg(kicks: tuple, drifts: tuple, model, theta: np.ndarray,
         theta, p: Current state (not modified; copied once for the leg).
         dt: Dimensional step size.
         n_steps: Number of steps.
-        grad: Cached gradient at ``theta``; with it the leg charges exactly
-            ``n_steps * len(drifts)`` fresh gradient evaluations, without it
-            one more.
+        grad: Gradient at ``theta``, which the leading kick reuses, so the
+            leg charges exactly ``n_steps * len(drifts)`` fresh gradient
+            evaluations.
 
     Returns:
         (theta, p, grad, n_evals) with ``grad`` the gradient at the new theta
         and ``n_evals`` the fresh gradient evaluations.
     """
     gradient = model.gradient
-    n_evals = 0
-    if grad is None:
-        grad = gradient(theta)
-        n_evals += 1
     theta = np.array(theta, dtype=float)
     p = np.array(p, dtype=float)
     first_kick = kicks[0] * dt
@@ -520,4 +515,4 @@ def apply_leg(kicks: tuple, drifts: tuple, model, theta: np.ndarray,
             theta += drift * p
             grad = gradient(theta)
             p -= kick * grad
-    return theta, p, grad, n_evals + n_steps * len(drifts)
+    return theta, p, grad, n_steps * len(drifts)

@@ -325,6 +325,21 @@ def ghmc_iteration(state: ChainState, dt: float, config: SamplerConfig, model,
     records.divergent[i] = divergent
 
 
+def _start_state(model, rng: np.random.Generator,
+                 theta: Optional[np.ndarray] = None) -> ChainState:
+    """First state: theta (unless given), then p, drawn from ``rng``."""
+    d = model.dimension
+    if theta is None:
+        theta = rng.standard_normal(d)
+    else:
+        theta = np.array(theta, dtype=float)
+        if theta.shape != (d,):
+            raise ValueError("initial theta has the wrong dimension")
+    p = rng.standard_normal(d)
+    return ChainState(theta, p, float(model.potential(theta)),
+                      np.asarray(model.gradient(theta), dtype=float))
+
+
 def run_chain(model, config: SamplerConfig, n_iterations: int,
               initial_theta: Optional[np.ndarray] = None,
               chain_index: int = 0) -> tuple[np.ndarray, ChainRecords]:
@@ -346,15 +361,7 @@ def run_chain(model, config: SamplerConfig, n_iterations: int,
     if n_iterations < 1:
         raise ValueError("need at least one iteration")
     rng = chain_rng(config.seed, chain_index)
-    if initial_theta is None:
-        theta = rng.standard_normal(model.dimension)
-    else:
-        theta = np.array(initial_theta, dtype=float)
-        if theta.shape != (model.dimension,):
-            raise ValueError("initial theta has the wrong dimension")
-    p = rng.standard_normal(model.dimension)
-    state = ChainState(theta, p, float(model.potential(theta)),
-                       np.asarray(model.gradient(theta), dtype=float))
+    state = _start_state(model, rng, initial_theta)
     samples = np.empty((n_iterations, model.dimension))
     records = ChainRecords.empty(n_iterations)
     draw_dt = config.dt_rule.draw

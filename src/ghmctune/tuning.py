@@ -37,12 +37,13 @@ from .saia import default_map
 from .samplers import (
     AdaptiveScheme,
     ChainRecords,
-    ChainState,
     DiscreteSet,
     Fixed,
     SamplerConfig,
     UniformInterval,
+    _start_state,
     chain_rng,
+    check_rule,
     ghmc_iteration,
 )
 
@@ -90,9 +91,9 @@ class BurninStats:
         ar: Acceptance rate over the measurement window.
         dt_vv: Final adapted step size.
         energy_error: Mean |dH| over the measurement window.
-        omegas: Averaged sorted frequency spectrum (``collect_frequencies``).
-        omega_max: Maximum frequency, the last entry of ``omegas``.
-        omega_std: Standard deviation of the spectrum.
+        omegas: Averaged frequency spectrum (``collect_frequencies``), kept
+            sorted; the properties ``omega_max`` (its last entry) and
+            ``omega_std`` (its standard deviation) derive from it.
         n_iterations: Burn-in length.
         n_divergent: Divergent proposals seen during burn-in.
         n_clamped: Negative Hessian eigenvalues clamped to zero.
@@ -103,8 +104,6 @@ class BurninStats:
     dt_vv: float
     energy_error: float
     omegas: np.ndarray
-    omega_max: float
-    omega_std: float
     n_iterations: int
     n_divergent: int = 0
     n_clamped: int = 0
@@ -114,10 +113,16 @@ class BurninStats:
             raise ValueError("acceptance rate must lie in [0, 1]")
         if self.dt_vv <= 0:
             raise ValueError("dt_vv must be positive")
-        w = np.sort(np.asarray(self.omegas, dtype=float))
-        object.__setattr__(self, "omegas", w)
-        if abs(self.omega_max - w[-1]) > 1e-12 * max(1.0, w[-1]):
-            raise ValueError("omega_max must equal the largest frequency")
+        object.__setattr__(self, "omegas",
+                           np.sort(np.asarray(self.omegas, dtype=float)))
+
+    @property
+    def omega_max(self) -> float:
+        return float(self.omegas[-1])
+
+    @property
+    def omega_std(self) -> float:
+        return float(np.std(self.omegas))
 
 
 def adapt_step_size(ar_estimate: float, dt: float, target_ar: float,
@@ -178,10 +183,7 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
         seed=seed,
     )
     rng = chain_rng(seed, 0)
-    theta = rng.standard_normal(d)
-    state = ChainState(theta, rng.standard_normal(d),
-                       float(model.potential(theta)),
-                       np.asarray(model.gradient(theta), dtype=float))
+    state = _start_state(model, rng)
 
     samples = np.empty((n_burnin, d))
     records = ChainRecords.empty(n_burnin)
@@ -210,16 +212,13 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
     kept = ~records.divergent[half:]
     energy_error = float(np.mean(np.abs(records.delta_h[half:][kept])))
 
-    omegas, omega_max, omega_std, n_clamped = collect_frequencies(
-        model, samples[half:])
+    omegas, n_clamped = collect_frequencies(model, samples[half:])
     stats = BurninStats(
         dimension=d,
         ar=ar,
         dt_vv=dt,
         energy_error=energy_error,
         omegas=omegas,
-        omega_max=omega_max,
-        omega_std=omega_std,
         n_iterations=n_burnin,
         n_divergent=int(records.divergent.sum()),
         n_clamped=n_clamped,
@@ -255,7 +254,7 @@ def collect_frequencies(model, samples: np.ndarray):
     gradient calls per sample (20 D in all).
 
     Returns:
-        (omegas, omega_max, omega_std, n_clamped)
+        (omegas, n_clamped): sorted averaged spectrum, clamped eigenvalues.
     """
     hessian = model.hessian or (
         lambda theta: _gradient_difference_hessian(model.gradient, theta))
@@ -269,7 +268,7 @@ def collect_frequencies(model, samples: np.ndarray):
         n_clamped += int(np.sum(eigvals < 0.0))
         spectra.append(np.sqrt(np.clip(eigvals, 0.0, None)))
     omegas = np.sort(np.mean(np.sort(np.asarray(spectra), axis=1), axis=0))
-    return omegas, float(omegas[-1]), float(np.std(omegas)), n_clamped
+    return omegas, n_clamped
 
 
 def fitting_factor(stats: BurninStats) -> float:
@@ -341,16 +340,10 @@ def phi_interval(dimension: int, h_lower: float = H_LOWER) -> tuple[float, float
     """Refresh-noise randomization interval (phi_opt(3), phi_opt(h_lower)).
 
     K(h) decreases over (h_lower, 3), so the step-size endpoints map to the
-    noise endpoints in reverse order.  Each endpoint clips at 1
-    independently; a fully clipped interval degenerates to standard-HMC
-    refreshment and is reported.
+    noise endpoints in reverse order.  Only the upper endpoint can clip at 1:
+    the lower one is phi_opt(3, D) = 0.438 / D, below 1 for every D.
     """
-    lo = phi_opt(H_COLSI3, dimension)
-    hi = phi_opt(h_lower, dimension)
-    if lo >= 1.0 and hi >= 1.0:
-        warnings.warn("optimal noise interval clipped to {1}; refreshment "
-                      "degenerates to full resampling", RuntimeWarning)
-    return lo, hi
+    return phi_opt(H_COLSI3, dimension), phi_opt(h_lower, dimension)
 
 
 def l_scheme(s_f: float):
@@ -404,10 +397,13 @@ def l_candidates_from_eta(s_f: float, eta: float,
 class TuningReport:
     """Production settings emitted by the tuning pipeline.
 
-    The step-size interval endpoints always satisfy
-    dt_colsi / dt_lower = 3 / h_lower exactly; phi endpoints are present for
-    GHMC only.  ``s_f`` is the fitting factor S_omega.  ``from_json`` ignores
-    keys that are not fields, so reports holding since-removed keys still load.
+    ``s_f`` is the fitting factor S_omega.  A report is checked when built or
+    loaded: CF is finite and positive, CF * dt_lower = h_lower,
+    dt_colsi / dt_lower = 3 / h_lower, exactly one of ``l_fixed`` and
+    ``l_choices`` is a valid L rule, and phi endpoints in (0, 1] are present
+    for GHMC only.  ``burnin_divergent`` and ``burnin_clamped`` count the
+    burn-in's divergent proposals and clamped Hessian eigenvalues (None in
+    older reports).  ``from_json`` ignores keys that are not fields.
     """
 
     mode: str
@@ -426,16 +422,27 @@ class TuningReport:
     burnin_energy_error: float
     burnin_iterations: int
     seed: int
+    burnin_divergent: Optional[int] = None
+    burnin_clamped: Optional[int] = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.cf) and self.cf > 0.0):
+            raise ValueError(f"cf={self.cf}: must be finite and positive")
+        if abs(self.cf * self.dt_lower - self.h_lower) > 1e-9 * abs(self.h_lower):
+            raise ValueError("cf * dt_lower must equal h_lower")
         ratio = self.dt_colsi / self.dt_lower
         if abs(ratio - H_COLSI3 / self.h_lower) > 1e-9:
             raise ValueError("step interval endpoints violate the 3 / h_lower ratio")
         if self.s_f < 1.0:
             raise ValueError("fitting factor below 1")
-        if self.phi_lower is not None:
-            if not (0.0 < self.phi_lower <= self.phi_upper <= 1.0):
-                raise ValueError("phi interval must be contained in (0, 1]")
+        if (self.l_fixed is None) == (self.l_choices is None):
+            raise ValueError("exactly one of l_fixed and l_choices must be set")
+        check_rule("l", self.l_rule())
+        if (self.phi_lower is not None) != (self.mode == "ghmc"):
+            raise ValueError("a phi interval belongs to GHMC reports only")
+        if self.phi_lower is not None and not (
+                0.0 < self.phi_lower <= self.phi_upper <= 1.0):
+            raise ValueError("phi interval must be contained in (0, 1]")
 
     def l_rule(self):
         if self.l_fixed is not None:
@@ -494,6 +501,8 @@ def produce_settings(stats: BurninStats, mode: str = "ghmc", seed: int = 0,
         burnin_energy_error=stats.energy_error,
         burnin_iterations=stats.n_iterations,
         seed=seed,
+        burnin_divergent=stats.n_divergent,
+        burnin_clamped=stats.n_clamped,
     )
 
 

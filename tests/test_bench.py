@@ -45,6 +45,26 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             _small_config(tmp_path, l_fixed=2, l_choices=(2, 5))
 
+    @pytest.mark.parametrize("overrides,names", [
+        (dict(dt_fixed=0.1, dt_interval=(0.1, 0.2)), "dt_fixed, dt_interval"),
+        (dict(l_fixed=2, l_range=(1, 3)), "l_fixed, l_range"),
+        (dict(integrator="vv", dt_fixed=0.1, phi_fixed=0.5,
+              phi_interval=(0.1, 0.2)), "phi_fixed, phi_interval")],
+        ids=["dt", "l", "phi"])
+    def test_second_override_of_a_quantity_rejected(self, tmp_path, overrides,
+                                                     names):
+        with pytest.raises(ConfigError, match=names):
+            _small_config(tmp_path, **overrides)
+
+    @pytest.mark.parametrize("integrator", ["vv", "vv2", "bcss2", "me2"])
+    def test_fixed_integrator_below_three_stages_needs_a_step(self, tmp_path,
+                                                              integrator):
+        with pytest.raises(ConfigError, match="fewer than three stages"):
+            _small_config(tmp_path, integrator=integrator)
+        for step in (dict(dt_fixed=0.1), dict(dt_interval=(0.1, 0.2))):
+            assert _small_config(tmp_path, integrator=integrator,
+                                 **step).integrator == integrator
+
     def test_blr_file_needs_path(self, tmp_path):
         with pytest.raises(ConfigError):
             _small_config(tmp_path, benchmark="blr-file")
@@ -640,7 +660,12 @@ class TestCli:
         (["--ar-target", "1.5"], "ar_target"),
         (["--h-lower", "5"], "h_lower"),
         (["--l-choices", "2.5,5"], "l_choices"),
-        (["--l-range", "1,2.5"], "l_range")])
+        (["--l-range", "1,2.5"], "l_range"),
+        (["--dt-fixed", "0.1", "--dt-interval", "0.1,0.2"],
+         "dt_fixed, dt_interval"),
+        (["--l-fixed", "2", "--l-range", "1,3"], "l_fixed, l_range"),
+        (["--phi-fixed", "0.5", "--phi-interval", "0.1,0.2"],
+         "phi_fixed, phi_interval")])
     def test_bad_override_exits_before_output(self, tmp_path, capsys, flags,
                                               name, integrator):
         # without --integrator the run would tune first
@@ -659,7 +684,8 @@ class TestCli:
         ('["gauss-4"]', "JSON object"),
         ('{"benchmark": "gauss-4",', "--config"),
         ('{"benchmark": "gauss-4", "l_fixed": 2.5}', "l_fixed"),
-        ('{"benchmark": "gauss-4", "fitting_mode": "auto"}', "fitting_mode")])
+        ('{"benchmark": "gauss-4", "fitting_mode": "auto"}', "fitting_mode"),
+        ('{"benchmark": "gauss-4", "standardize": false}', "standardize")])
     def test_bad_config_file_exits_before_output(self, tmp_path, capsys, text,
                                                  name):
         cfg_file = tmp_path / "cfg.json"
@@ -694,7 +720,8 @@ class TestCli:
         assert "configuration error" in err and "overhead_factor_b" in err
 
     @pytest.mark.parametrize("case", ["truncated", "doubled-dt-lower",
-                                      "missing-cf"])
+                                      "missing-cf", "negative-cf",
+                                      "zero-l-fixed", "doubled-cf"])
     def test_malformed_report_exits_before_output(self, tmp_path, capsys,
                                                   case):
         tuned = tmp_path / "tuned"
@@ -706,11 +733,17 @@ class TestCli:
         report = json.loads(text)
         if case == "truncated":
             text = text[:len(text) // 2]
-        elif case == "doubled-dt-lower":
-            report["dt_lower"] *= 2.0
-            text = json.dumps(report)
         else:
-            del report["cf"]
+            if case == "doubled-dt-lower":
+                report["dt_lower"] *= 2.0
+            elif case == "missing-cf":
+                del report["cf"]
+            elif case == "negative-cf":
+                report["cf"] = -1.0
+            elif case == "zero-l-fixed":
+                report["l_fixed"] = 0
+            else:
+                report["cf"] *= 2.0
             text = json.dumps(report)
         path.write_text(text)
         out = tmp_path / "never"
@@ -721,6 +754,37 @@ class TestCli:
         assert code == 2
         assert "configuration error" in err and "--report" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["sample"], ["sensitivity"],
+        ["sweep", "--phi-rules", "tuned", "--l-rules", "tuned"]],
+        ids=["sample", "sensitivity", "sweep"])
+    @pytest.mark.parametrize("integrator", ["vv", "vv2", "bcss2", "me2"])
+    def test_fixed_integrator_without_step_exits_before_output(
+            self, tmp_path, capsys, command, integrator):
+        # the tuned interval h in [2.08, 3] is past Verlet's stability limit 2
+        out = tmp_path / "never"
+        code = main([*command, "--benchmark", "gauss-20", "--integrator",
+                     integrator, "--n-prod", "500", "--n-chains", "2",
+                     "--seed", "1", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "fewer than three stages" in err
+        assert not out.exists()
+
+    def test_three_stage_fixed_integrator_samples_on_tuned_interval(
+            self, tmp_path):
+        out = tmp_path / "vv3"
+        assert main(["sample", "--benchmark", "gauss-5", "--integrator", "vv3",
+                     "--n-burnin", "200", "--n-prod", "100", "--n-chains", "1",
+                     "--seed", "1", "--out-dir", str(out)]) == 0
+        report = json.loads((out / "tuning_report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"] == 3
+        records = load_chain_set(out).records[0]
+        assert np.all(records.dt >= report["dt_lower"])
+        assert np.all(records.dt <= report["dt_colsi"])
+        assert records.accepted.mean() > 0.5
 
     def test_manifest_with_dropped_field_diagnoses(self, tmp_path):
         # run directories written before a RunConfig field was removed

@@ -35,14 +35,12 @@ from ghmctune.tuning import (
 
 
 def _stats(dimension=10, ar=0.95, dt_vv=0.5, energy=0.01, omegas=None,
-           omega_max=1.0, omega_std=0.0):
+           omega_max=1.0):
     # a flat spectrum at omega_max unless one is given
     if omegas is None:
         omegas = np.full(dimension, omega_max)
     return BurninStats(dimension=dimension, ar=ar, dt_vv=dt_vv,
-                       energy_error=energy, omegas=omegas,
-                       omega_max=omega_max, omega_std=omega_std,
-                       n_iterations=1000)
+                       energy_error=energy, omegas=omegas, n_iterations=1000)
 
 
 class TestAdaptStepSize:
@@ -91,29 +89,29 @@ class TestRunBurnin:
 class TestCollectFrequencies:
     def test_diagonal_spectrum(self):
         model = gaussian_model(np.diag([1.0, 4.0, 9.0]))
-        omegas, omega_max, omega_std, clamped = collect_frequencies(
-            model, np.zeros((20, 3)))
+        omegas, clamped = collect_frequencies(model, np.zeros((20, 3)))
         assert omegas == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
-        assert omega_max == 3.0
-        assert omega_std == pytest.approx(np.std([1.0, 2.0, 3.0]), abs=1e-12)
         assert clamped == 0
+        stats = _stats(dimension=3, omegas=omegas[::-1])
+        assert np.array_equal(stats.omegas, omegas)
+        assert stats.omega_max == 3.0
+        assert stats.omega_std == pytest.approx(np.std([1.0, 2.0, 3.0]),
+                                                abs=1e-12)
 
     def test_negative_eigenvalues_clamped(self):
         model = TargetModel(2, lambda th: 0.0, lambda th: np.zeros(2),
                             lambda th: np.diag([-1.0, 4.0]), "saddle")
-        omegas, omega_max, _, clamped = collect_frequencies(model, np.zeros((5, 2)))
+        omegas, clamped = collect_frequencies(model, np.zeros((5, 2)))
         assert clamped == 5
-        assert omegas[0] == 0.0 and omega_max == 2.0
+        assert omegas[0] == 0.0 and omegas[-1] == 2.0
 
     def test_gradient_differences_without_hessian(self):
         # the diagonal-spectrum case, from central differences of the gradient
         model = dataclasses.replace(gaussian_model(np.diag([1.0, 4.0, 9.0])),
                                     hessian=None)
         samples = 3.0 * np.random.default_rng(0).standard_normal((20, 3))
-        omegas, omega_max, omega_std, clamped = collect_frequencies(model, samples)
+        omegas, clamped = collect_frequencies(model, samples)
         assert omegas == pytest.approx([1.0, 2.0, 3.0], abs=1e-8)
-        assert omega_max == pytest.approx(3.0, abs=1e-8)
-        assert omega_std == pytest.approx(np.std([1.0, 2.0, 3.0]), abs=1e-8)
         assert clamped == 0
 
 
@@ -136,9 +134,7 @@ class TestFittingFactor:
             ar = rng.uniform(0.7, 0.99)
             dt = rng.uniform(0.05, 1.0)
             omegas = rng.uniform(0.2, 4.0, size=12)
-            stats = _stats(dimension=12, ar=ar, dt_vv=dt, omegas=np.sort(omegas),
-                           omega_max=float(np.max(omegas)),
-                           omega_std=float(np.std(omegas)))
+            stats = _stats(dimension=12, ar=ar, dt_vv=dt, omegas=omegas)
             e_vv = 4.0 * math.pi * (1.0 - ar) ** 2
             oracle = max(1.0, (1.0 / dt) * (32.0 * e_vv / np.sum(omegas**6)) ** (1 / 6))
             assert fitting_factor(stats) == pytest.approx(oracle, rel=1e-12)
@@ -333,6 +329,25 @@ class TestProduceSettings:
         data["fitting_mode"] = "s_omega"
         assert TuningReport.from_json(json.dumps(data)) == report
 
+    def test_report_carries_burnin_failures(self):
+        # a stiff direction makes the first burn-in steps diverge; the
+        # banana's curved ridge has negative Hessian eigenvalues
+        stiff = gaussian_model(np.diag([1.0, 1e6]))
+        report, stats = atune(stiff, n_burnin=200, seed=1)
+        assert report.burnin_divergent == stats.n_divergent > 0
+        banana = resolve_benchmark(RunConfig(benchmark="banana", seed=1))
+        report, stats = atune(banana, n_burnin=200, seed=1)
+        assert report.burnin_clamped == stats.n_clamped > 0
+        assert TuningReport.from_json(report.to_json()) == report
+
+    def test_report_without_burnin_counts_loads(self):
+        report = produce_settings(_stats(dimension=40), seed=3)
+        data = json.loads(report.to_json())
+        del data["burnin_divergent"], data["burnin_clamped"]
+        older = TuningReport.from_json(json.dumps(data))
+        assert older == dataclasses.replace(report, burnin_divergent=None,
+                                            burnin_clamped=None)
+
     def test_config_from_report_round_trip(self):
         report = produce_settings(_stats(dimension=30), seed=8)
         config = config_from_report(report)
@@ -340,3 +355,32 @@ class TestProduceSettings:
         assert isinstance(rebuilt.dt_rule, UniformInterval)
         assert rebuilt.dt_rule == config.dt_rule
         assert rebuilt.phi_rule == config.phi_rule
+
+
+class TestTuningReportChecks:
+    @pytest.mark.parametrize("mode", ["ghmc", "hmc"])
+    @pytest.mark.parametrize("omega_max", [1e-3, 0.7, 1.0, 3.3, 250.0])
+    def test_tuner_reports_pass(self, mode, omega_max):
+        stats = _stats(dimension=7, ar=0.8, dt_vv=0.2 / omega_max,
+                       omega_max=omega_max)
+        report = produce_settings(stats, mode=mode, h_lower=H_LOWER * 1.05)
+        assert TuningReport.from_json(report.to_json()) == report
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda r: dict(cf=-1.0), "cf"),
+        (lambda r: dict(cf=math.inf), "cf"),
+        (lambda r: dict(cf=math.nan), "cf"),
+        (lambda r: dict(cf=2.0 * r.cf), "h_lower"),
+        (lambda r: dict(l_fixed=0), "L must"),
+        (lambda r: dict(l_fixed=None), "exactly one"),
+        (lambda r: dict(l_choices=(2, 5)), "exactly one"),
+        (lambda r: dict(l_fixed=None, l_choices=(0, 2)), "positive integers"),
+        (lambda r: dict(phi_lower=None, phi_upper=None), "GHMC"),
+        (lambda r: dict(mode="hmc"), "GHMC")],
+        ids=["negative-cf", "infinite-cf", "nan-cf", "doubled-cf",
+             "zero-l-fixed", "no-l-rule", "two-l-rules", "bad-l-choices",
+             "ghmc-without-phi", "hmc-with-phi"])
+    def test_broken_report_rejected(self, edit, match):
+        report = produce_settings(_stats(dimension=40), seed=3)
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(report, **edit(report))
