@@ -11,6 +11,7 @@ import numpy as np
 
 from ghmctune.integrators import (
     B_BCSS3,
+    SCHEME_NAMES,
     build_scheme,
     energy_error_one_step,
     expected_energy_error_vv,
@@ -25,7 +26,7 @@ from ghmctune.saia import default_map
 
 print("=== named schemes ===")
 print(f"{'scheme':>7} {'stages':>6} {'b1':>12} {'a1':>12} {'stability':>10}")
-for name in ("vv", "vv2", "vv3", "bcss2", "bcss3", "me2", "me3"):
+for name in SCHEME_NAMES:
     s = build_scheme(name)
     h_max = stability_interval(s)[1]
     print(f"{name:>7} {s.stages:>6} {s.b1:>12.8f} {s.a1:>12.8f} {h_max:>10.4f}")

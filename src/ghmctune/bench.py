@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -171,13 +172,17 @@ class RunConfig:
         if self.ess_method not in ESS_METHODS:
             raise ConfigError(f"ess_method '{self.ess_method}' is not one of "
                               f"{', '.join(ESS_METHODS)}")
+        if not (math.isfinite(self.psrf_threshold) and self.psrf_threshold > 1.0):
+            raise ConfigError(f"psrf_threshold={self.psrf_threshold}: must be "
+                              "finite and above 1")
         if self.window is not None and self.window < 1:
             raise ConfigError(f"window={self.window}: must be at least 1")
         for tpl_field in ("dt_interval", "l_range", "l_choices", "phi_interval"):
             val = getattr(self, tpl_field)
             if val is not None:
                 object.__setattr__(self, tpl_field, tuple(val))
-        for name in ("l_fixed", "l_range", "l_choices"):
+        for name in ("n_chains", "n_burnin", "n_prod", "seed", "window",
+                     "l_fixed", "l_range", "l_choices"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _whole(name, getattr(self, name)))
         rules = _override_rules(self)  # range-check the overrides before any output
@@ -205,17 +210,18 @@ class RunConfig:
 def _whole(name: str, value):
     """``value``, a number or a tuple of numbers, as ints.
 
-    The kernel would truncate a trajectory length such as 2.5, so anything
-    but a whole number is a ConfigError naming ``name``.
+    Counts, the seed and trajectory lengths are whole numbers (the kernel
+    would truncate a trajectory length such as 2.5), so anything else, a
+    string included, is a ConfigError naming ``name``.
     """
     values = value if isinstance(value, tuple) else (value,)
     try:
         ints = tuple(int(v) for v in values)
-        if ints == tuple(map(float, values)):
+        if ints == values:
             return ints if isinstance(value, tuple) else ints[0]
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{name}={value!r}: trajectory lengths must be whole numbers")
+    raise ConfigError(f"{name}={value!r}: each value must be a whole number")
 
 
 def resolve_benchmark(config: RunConfig) -> TargetModel:
@@ -708,9 +714,7 @@ def parse_rule(desc: str):
 
 
 def cmd_analyze_integrators(out_dir: str | Path,
-                            schemes: Sequence[str] = ("vv", "vv2", "vv3",
-                                                      "bcss2", "bcss3",
-                                                      "me2", "me3"),
+                            schemes: Sequence[str] = SCHEME_NAMES,
                             n_grid: int = 200) -> dict:
     """Emit integrator accuracy and stability tables as plot-ready data.
 
@@ -737,7 +741,7 @@ def cmd_analyze_integrators(out_dir: str | Path,
     with open(out_dir / "rho3_vs_h.csv", "w") as fh:
         fh.write("label,b,h,rho3\n")
         labels = {"bcss3": integrators.B_BCSS3,
-                  "me3": integrators.me3_coefficient(),
+                  "me3": integrators.B_ME3,
                   "vv3": 1.0 / 6.0}
         for label, b in labels.items():
             for h in np.linspace(0.02, 4.5, n_grid):

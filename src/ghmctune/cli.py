@@ -27,7 +27,7 @@ from .bench import (
     cmd_tune,
 )
 from .diagnostics import DiagnosticsError
-from .integrators import OutOfStabilityError
+from .integrators import SCHEME_NAMES, OutOfStabilityError
 from .models import DatasetError
 from .tuning import TuningError, TuningReport
 
@@ -45,7 +45,7 @@ _CONFIG_FIELDS = [
     ("--seed", int, "root seed"),
     ("--out-dir", str, "output directory"),
     ("--dataset-path", str, "dataset file for blr-file"),
-    ("--integrator", str, "integrator override: vv, vv2, vv3, bcss2, bcss3, me2 or me3; "
+    ("--integrator", str, f"integrator override: {', '.join(SCHEME_NAMES)}; "
                           "saia3, the tuned adaptive scheme, is the default"),
     ("--dt-fixed", float, "fixed step size override"),
     ("--l-fixed", int, "fixed trajectory length"),

@@ -5,17 +5,22 @@ drifts (coefficients a_j) in a palindromic order, costing k gradient
 evaluations per step because the touching end-kicks of consecutive steps
 share one gradient (they stay two momentum updates).  The module provides:
 
-* the named one-, two- and three-stage schemes used by the samplers
-  (velocity Verlet and its two/three-stage compositions, the minimax
-  energy-error schemes BCSS2/BCSS3 and the minimum truncation-error schemes
-  ME2/ME3; the step-size adaptive three-stage coefficients are tabulated in
+* the named one-, two- and three-stage schemes used by the samplers, one
+  registry built at import (velocity Verlet and its two/three-stage
+  compositions, the minimax energy-error schemes BCSS2/BCSS3 and the minimum
+  truncation-error schemes ME2/ME3, whose kick coefficients are known
+  constants; the step-size adaptive three-stage coefficients are tabulated in
   :mod:`ghmctune.saia`),
 * the 2x2 one-step propagator on the standard harmonic oscillator and the
   derived quantities used everywhere in the tuning analysis: one-step
   expected energy error (B_h + C_h)^2 / 2, the trajectory-length-independent
   bound rho(h), the rotation angle eta_h, stability intervals,
 * the closed-form expected energy errors of k-stage velocity Verlet and the
-  step-size ratios at which they match the one-stage value.
+  exact step-size ratios at which they match the one-stage value.
+
+``scipy.optimize`` is imported only inside the two numeric searches,
+``find_h_lower`` and ``stability_interval``, so importing the module does not
+load it.
 
 For three-stage schemes the free coefficients are tied by
 
@@ -32,7 +37,6 @@ import functools
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 __all__ = [
     "OutOfStabilityError",
@@ -40,14 +44,14 @@ __all__ = [
     "HarmonicPropagator",
     "SCHEME_NAMES",
     "scheme_key",
+    "B_BCSS2",
     "B_BCSS3",
     "A_BCSS3",
+    "B_ME2",
+    "B_ME3",
     "H_LOWER",
     "H_COLSI3",
     "build_scheme",
-    "bcss2_coefficient",
-    "me2_coefficient",
-    "me3_coefficient",
     "three_stage_a",
     "harmonic_propagator",
     "energy_error_one_step",
@@ -62,9 +66,20 @@ __all__ = [
     "apply_leg",
 ]
 
-# Three-stage kick coefficient of the minimax energy-error scheme, the printed
-# reference value; its drift companion follows from three_stage_a().
+# Kick coefficients of the named two- and three-stage schemes; the drift
+# companion of a three-stage one follows from three_stage_a().
+# BCSS2: minimiser over b of the largest two-stage bound energy_error_bound
+# on 0 < h < 2 (500-point grid from 0.005).
+B_BCSS2 = 0.21178098563894895
+# BCSS3: the printed reference value of the three-stage minimax scheme.
 B_BCSS3 = 0.11888010966548
+# ME2: minimiser of the squared norm of the two order-h^2 coefficients of the
+# modified Hamiltonian, (6b-1)/24 and (6b^2-6b+1)/12, i.e. the root in
+# (0, 1/4) of 48 b^3 - 72 b^2 + 38 b - 5.
+B_ME2 = 0.19318332750378353
+# ME3: minimiser of the h -> 0 limit of rho3(h, b)/h^4, which is
+# S0(b)^2 / (2 (1-3b)^4) with S0(b) = -3b^4 + 8b^3 - 19/4 b^2 + b - 1/16.
+B_ME3 = 0.10899142542513328
 
 # Canonical endpoints of the dimensionless step randomization interval for
 # three-stage production runs: the local maximum of rho3 at b = B_BCSS3
@@ -74,8 +89,6 @@ H_LOWER = 2.0772
 H_COLSI3 = 3.0
 
 _TRACE_EPS = 1e-9  # |A+D| may touch 2 tangentially inside a stability interval
-
-SCHEME_NAMES = ("vv", "vv2", "vv3", "bcss2", "bcss3", "me2", "me3")
 
 
 class OutOfStabilityError(ValueError):
@@ -137,10 +150,6 @@ class SplittingScheme:
         return self.kicks, self.drifts
 
     @staticmethod
-    def one_stage(name: str = "vv") -> "SplittingScheme":
-        return SplittingScheme(name, (0.5, 0.5), (1.0,))
-
-    @staticmethod
     def two_stage(b: float, name: str) -> "SplittingScheme":
         return SplittingScheme(name, (b, 1.0 - 2.0 * b, b), (0.5, 0.5))
 
@@ -150,52 +159,18 @@ class SplittingScheme:
                                (a, 1.0 - 2.0 * a, a))
 
 
-@functools.lru_cache(maxsize=None)
-def me2_coefficient() -> float:
-    """Two-stage kick coefficient minimizing the leading truncation error.
+# Shared instances: a SplittingScheme is frozen.
+_SCHEMES = {s.name: s for s in (
+    SplittingScheme("vv", (0.5, 0.5), (1.0,)),
+    SplittingScheme.two_stage(0.25, "vv2"),
+    SplittingScheme.three_stage(1.0 / 6.0, 1.0 / 3.0, "vv3"),
+    SplittingScheme.two_stage(B_BCSS2, "bcss2"),
+    SplittingScheme.three_stage(B_BCSS3, A_BCSS3, "bcss3"),
+    SplittingScheme.two_stage(B_ME2, "me2"),
+    SplittingScheme.three_stage(B_ME3, three_stage_a(B_ME3), "me3"),
+)}
 
-    Minimizes the squared norm of the two order-h^2 coefficients of the
-    modified Hamiltonian, (6b-1)/24 and (6b^2-6b+1)/12, which reduces to the
-    cubic 48 b^3 - 72 b^2 + 38 b - 5 = 0 on (0, 1/4).
-    """
-    return brentq(lambda b: ((48.0 * b - 72.0) * b + 38.0) * b - 5.0,
-                  0.15, 0.22, xtol=1e-15)
-
-
-@functools.lru_cache(maxsize=None)
-def me3_coefficient() -> float:
-    """Three-stage kick coefficient minimizing the h -> 0 energy-error bound.
-
-    The small-step limit of rho3(h, b)/h^4 is S0(b)^2 / (2 (1-3b)^4) with
-    S0(b) = -3b^4 + 8b^3 - 19/4 b^2 + b - 1/16; ME3 minimizes it.
-    """
-    def limit(b):
-        s0 = ((-3.0 * b + 8.0) * b - 4.75) * b * b + b - 0.0625
-        return (s0 / (1.0 - 3.0 * b) ** 2) ** 2
-
-    res = minimize_scalar(limit, bounds=(0.08, 0.2), method="bounded",
-                          options={"xatol": 1e-14})
-    return float(res.x)
-
-
-@functools.lru_cache(maxsize=None)
-def bcss2_coefficient() -> float:
-    """Two-stage kick coefficient minimizing max of the error bound on (0, 2)."""
-    hs = np.linspace(0.005, 2.0, 500)
-
-    def worst(b):
-        scheme = SplittingScheme.two_stage(b, "tmp")
-        top = 0.0
-        for h in hs:
-            try:
-                top = max(top, energy_error_bound(scheme, h))
-            except OutOfStabilityError:
-                return np.inf
-        return top
-
-    res = minimize_scalar(worst, bounds=(0.15, 0.24), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.x)
+SCHEME_NAMES = tuple(_SCHEMES)
 
 
 def scheme_key(name: str) -> str:
@@ -204,7 +179,7 @@ def scheme_key(name: str) -> str:
 
 
 def build_scheme(name: str) -> SplittingScheme:
-    """Construct a named fixed scheme.
+    """The named fixed scheme, a shared instance from the registry.
 
     Args:
         name: One of ``SCHEME_NAMES``, matched after ``scheme_key`` folding.
@@ -212,23 +187,11 @@ def build_scheme(name: str) -> SplittingScheme:
     Raises:
         ValueError: Unknown name.
     """
-    key = scheme_key(name)
-    if key == "vv":
-        return SplittingScheme.one_stage("vv")
-    if key == "vv2":
-        return SplittingScheme.two_stage(0.25, "vv2")
-    if key == "vv3":
-        return SplittingScheme.three_stage(1.0 / 6.0, 1.0 / 3.0, "vv3")
-    if key == "bcss2":
-        return SplittingScheme.two_stage(bcss2_coefficient(), "bcss2")
-    if key == "bcss3":
-        return SplittingScheme.three_stage(B_BCSS3, A_BCSS3, "bcss3")
-    if key == "me2":
-        return SplittingScheme.two_stage(me2_coefficient(), "me2")
-    if key == "me3":
-        b = me3_coefficient()
-        return SplittingScheme.three_stage(b, three_stage_a(b), "me3")
-    raise ValueError(f"unknown integrator '{name}'; known: {', '.join(SCHEME_NAMES)}")
+    try:
+        return _SCHEMES[scheme_key(name)]
+    except KeyError:
+        raise ValueError(f"unknown integrator '{name}'; "
+                         f"known: {', '.join(SCHEME_NAMES)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +334,8 @@ def find_h_lower() -> float:
     numerically differentiated bound at the grid argmax pins the maximum.
     Reference value 2.0772.
     """
+    from scipy.optimize import brentq
+
     def deriv(h, step=1e-6):
         return (rho3(h + step, B_BCSS3) - rho3(h - step, B_BCSS3)) / (2.0 * step)
 
@@ -417,6 +382,8 @@ def stability_interval(scheme: SplittingScheme) -> tuple[float, float]:
     where the trace touches +-2 tangentially (resonances of composed maps)
     do not terminate the interval.
     """
+    from scipy.optimize import brentq
+
     def excess(h):
         return abs(harmonic_propagator(scheme, h).trace) - 2.0 - _TRACE_EPS
 
@@ -437,44 +404,27 @@ def stability_interval(scheme: SplittingScheme) -> tuple[float, float]:
 def vv_ratio_roots(k: int) -> list[float]:
     """Steps h' where the k-stage Verlet error at k h' matches 1-stage at h'.
 
-    Numerically solves expected_energy_error_vv(k, k h') =
-    expected_energy_error_vv(1, h') on (0, 2).  Transversal crossings come
-    from sign changes of the ratio minus one; tangential solutions (the
-    ratio touching 1 at a local extremum) are located by a bracketed root of
-    the ratio's derivative and kept when the residual vanishes.
+    The exact solutions on (0, 2) of expected_energy_error_vv(k, k h') =
+    expected_energy_error_vv(1, h').  Dividing the closed forms, the factors
+    h'^6 and the constants cancel:
+
+        k = 2:  E_2(2h)/E_1(h) = (h^2 - 2)^2,
+        k = 3:  E_3(3h)/E_1(h) = (h^2 - 1)^2 (h^2 - 3)^2.
+
+    For k = 2, h^2 - 2 = +-1 gives h = 1 and sqrt(3).  For k = 3, with
+    u = h^2, (u - 1)(u - 3) = 1 gives u = 2 -+ sqrt(2), and
+    (u - 1)(u - 3) = -1 gives the double root u = 2, where the ratio touches
+    1 tangentially at h = sqrt(2).
+
+    Returns:
+        The roots in increasing order, as floats.
     """
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-
-    def ratio(hp):
-        return expected_energy_error_vv(k, k * hp) / expected_energy_error_vv(1, hp)
-
-    def dratio(hp, step=1e-7):
-        return (ratio(hp + step) - ratio(hp - step)) / (2.0 * step)
-
-    grid = np.linspace(1e-3, 2.0 - 1e-3, 4001)
-    vals = np.array([ratio(h) for h in grid])
-    roots = []
-    resid = vals - 1.0
-    for i in range(len(grid) - 1):
-        if resid[i] == 0.0:
-            roots.append(grid[i])
-        elif resid[i] * resid[i + 1] < 0.0:
-            roots.append(brentq(lambda x: ratio(x) - 1.0, grid[i], grid[i + 1],
-                                xtol=1e-14))
-    # tangential contacts: interior extrema of the ratio with value 1
-    for i in range(1, len(grid) - 1):
-        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1] and abs(resid[i]) < 1e-4:
-            if dratio(grid[i - 1]) * dratio(grid[i + 1]) < 0.0:
-                r = brentq(dratio, grid[i - 1], grid[i + 1], xtol=1e-14)
-                if abs(ratio(r) - 1.0) < 1e-10:
-                    roots.append(r)
-    roots.sort()
-    dedup = []
-    for r in roots:
-        if not dedup or abs(r - dedup[-1]) > 1e-8:
-            dedup.append(r)
-    return dedup
+    if k == 2:
+        return [1.0, math.sqrt(3.0)]
+    if k == 3:
+        return [math.sqrt(2.0 - math.sqrt(2.0)), math.sqrt(2.0),
+                math.sqrt(2.0 + math.sqrt(2.0))]
+    raise ValueError("k must be 2 or 3")
 
 
 # ---------------------------------------------------------------------------

@@ -398,8 +398,9 @@ class TuningReport:
     """Production settings emitted by the tuning pipeline.
 
     ``s_f`` is the fitting factor S_omega.  A report is checked when built or
-    loaded: CF is finite and positive, CF * dt_lower = h_lower,
-    dt_colsi / dt_lower = 3 / h_lower, exactly one of ``l_fixed`` and
+    loaded, and a NaN fails every check: CF is finite and positive, h_lower
+    lies in (0, 3), CF * dt_lower = h_lower, dt_colsi / dt_lower = 3 /
+    h_lower, S_f is finite and at least 1, exactly one of ``l_fixed`` and
     ``l_choices`` is a valid L rule, and phi endpoints in (0, 1] are present
     for GHMC only.  ``burnin_divergent`` and ``burnin_clamped`` count the
     burn-in's divergent proposals and clamped Hessian eigenvalues (None in
@@ -426,15 +427,19 @@ class TuningReport:
     burnin_clamped: Optional[int] = None
 
     def __post_init__(self):
+        # each check is stated so that a NaN fails it
         if not (math.isfinite(self.cf) and self.cf > 0.0):
             raise ValueError(f"cf={self.cf}: must be finite and positive")
-        if abs(self.cf * self.dt_lower - self.h_lower) > 1e-9 * abs(self.h_lower):
+        if not 0.0 < self.h_lower < H_COLSI3:
+            raise ValueError(f"h_lower={self.h_lower}: must lie in (0, {H_COLSI3:g})")
+        if not abs(self.cf * self.dt_lower - self.h_lower) <= 1e-9 * self.h_lower:
             raise ValueError("cf * dt_lower must equal h_lower")
         ratio = self.dt_colsi / self.dt_lower
-        if abs(ratio - H_COLSI3 / self.h_lower) > 1e-9:
+        if not abs(ratio - H_COLSI3 / self.h_lower) <= 1e-9:
             raise ValueError("step interval endpoints violate the 3 / h_lower ratio")
-        if self.s_f < 1.0:
-            raise ValueError("fitting factor below 1")
+        if not (math.isfinite(self.s_f) and self.s_f >= 1.0):
+            raise ValueError(f"s_f={self.s_f}: the fitting factor must be finite "
+                             "and at least 1")
         if (self.l_fixed is None) == (self.l_choices is None):
             raise ValueError("exactly one of l_fixed and l_choices must be set")
         check_rule("l", self.l_rule())

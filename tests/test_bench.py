@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -94,7 +95,11 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("field,value", [("psrf_statistic", "maxx"),
                                              ("ess_method", "foo"),
-                                             ("window", 0), ("window", -30)])
+                                             ("window", 0), ("window", -30),
+                                             ("psrf_threshold", math.nan),
+                                             ("psrf_threshold", 0.5),
+                                             ("psrf_threshold", 1.0),
+                                             ("psrf_threshold", math.inf)])
     def test_diagnose_settings_checked(self, tmp_path, field, value):
         with pytest.raises(ConfigError, match=field):
             _small_config(tmp_path, **{field: value})
@@ -685,7 +690,15 @@ class TestCli:
         ('{"benchmark": "gauss-4",', "--config"),
         ('{"benchmark": "gauss-4", "l_fixed": 2.5}', "l_fixed"),
         ('{"benchmark": "gauss-4", "fitting_mode": "auto"}', "fitting_mode"),
-        ('{"benchmark": "gauss-4", "standardize": false}', "standardize")])
+        ('{"benchmark": "gauss-4", "standardize": false}', "standardize"),
+        ('{"benchmark": "gauss-4", "n_burnin": 200, "n_prod": 100, "n_chains": 2.5}',
+         "n_chains"),
+        ('{"benchmark": "gauss-4", "n_burnin": 200, "n_prod": 100.5}', "n_prod"),
+        ('{"benchmark": "gauss-4", "n_burnin": 150.5, "n_prod": 100}', "n_burnin"),
+        ('{"benchmark": "gauss-4", "n_burnin": 200, "n_prod": 100, "seed": 1.5}',
+         "seed"),
+        ('{"benchmark": "gauss-4", "n_burnin": 200, "n_prod": 100, "window": 20.5}',
+         "window")])
     def test_bad_config_file_exits_before_output(self, tmp_path, capsys, text,
                                                  name):
         cfg_file = tmp_path / "cfg.json"
@@ -700,7 +713,11 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [["--psrf-statistic", "maxx"],
                                        ["--ess-method", "foo"],
-                                       ["--window=-30"], ["--window", "0"]])
+                                       ["--window=-30"], ["--window", "0"],
+                                       ["--psrf-threshold=nan"],
+                                       ["--psrf-threshold", "0.5"],
+                                       ["--psrf-threshold", "1.0"],
+                                       ["--psrf-threshold", "inf"]])
     def test_diagnose_rejects_unknown_settings(self, tmp_path, flags):
         out = tmp_path / "run"
         cmd_sample(_small_config(tmp_path, mode="hmc", integrator="vv",
@@ -721,7 +738,8 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["truncated", "doubled-dt-lower",
                                       "missing-cf", "negative-cf",
-                                      "zero-l-fixed", "doubled-cf"])
+                                      "zero-l-fixed", "doubled-cf",
+                                      "nan-dt-lower", "nan-h-lower", "nan-s-f"])
     def test_malformed_report_exits_before_output(self, tmp_path, capsys,
                                                   case):
         tuned = tmp_path / "tuned"
@@ -742,8 +760,10 @@ class TestCli:
                 report["cf"] = -1.0
             elif case == "zero-l-fixed":
                 report["l_fixed"] = 0
-            else:
+            elif case == "doubled-cf":
                 report["cf"] *= 2.0
+            else:  # nan-<field>, written as NaN, which json reads back
+                report[case[4:].replace("-", "_")] = float("nan")
             text = json.dumps(report)
         path.write_text(text)
         out = tmp_path / "never"

@@ -1,6 +1,7 @@
 """Smoke test: every demo script runs to completion against this checkout."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,5 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # a numpy scalar's repr, such as np.float64(1.0), is no printed number
+    assert re.search(r"\bnp\.\w+\(", proc.stdout) is None, proc.stdout[-2000:]

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from ghmctune.integrators import (
     A_BCSS3,
+    B_BCSS2,
     B_BCSS3,
+    B_ME2,
+    B_ME3,
     OutOfStabilityError,
     SplittingScheme,
     apply_leg,
-    bcss2_coefficient,
     build_scheme,
     energy_error_bound,
     energy_error_one_step,
@@ -19,8 +21,6 @@ from ghmctune.integrators import (
     find_h_lower,
     harmonic_propagator,
     lambda_k,
-    me2_coefficient,
-    me3_coefficient,
     rho3,
     rho3_grid,
     rotation_angle,
@@ -56,9 +56,33 @@ class TestBuildScheme:
         assert A_BCSS3 == pytest.approx(0.29619504261126, abs=1e-12)
 
     def test_reference_two_stage_coefficients(self):
-        assert bcss2_coefficient() == pytest.approx(0.21178, abs=5e-5)
-        assert me2_coefficient() == pytest.approx(0.193183, abs=1e-5)
-        assert me3_coefficient() == pytest.approx(0.108991, abs=1e-5)
+        # literature values, then each constant against its defining problem
+        assert B_BCSS2 == pytest.approx(0.21178, abs=5e-5)
+        assert B_ME2 == pytest.approx(0.193183, abs=1e-5)
+        assert B_ME3 == pytest.approx(0.108991, abs=1e-5)
+        delta = 1e-6
+
+        b = B_ME2
+        assert abs(((48.0 * b - 72.0) * b + 38.0) * b - 5.0) < 1e-12
+
+        def me3_limit(b):
+            s0 = -3.0 * b**4 + 8.0 * b**3 - 4.75 * b**2 + b - 0.0625
+            return s0**2 / (2.0 * (1.0 - 3.0 * b) ** 4)
+
+        assert rho3(1e-3, B_ME3) / 1e-12 == pytest.approx(me3_limit(B_ME3), rel=1e-4)
+        assert me3_limit(B_ME3) <= min(me3_limit(B_ME3 - delta),
+                                       me3_limit(B_ME3 + delta))
+
+        hs = np.linspace(0.005, 2.0, 500)
+
+        def bcss2_worst(b):
+            scheme = SplittingScheme.two_stage(b, "bcss2")
+            return max(energy_error_bound(scheme, h) for h in hs)
+
+        assert bcss2_worst(B_BCSS2) <= min(bcss2_worst(B_BCSS2 - delta),
+                                           bcss2_worst(B_BCSS2 + delta))
+        assert ([build_scheme(n).b1 for n in ("bcss2", "me2", "me3")]
+                == [B_BCSS2, B_ME2, B_ME3])
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_constraint_sums(self, name):
@@ -298,6 +322,15 @@ class TestVvRatioRoots:
 
     def test_smallest_root_scaled(self):
         assert 3 * vv_ratio_roots(3)[0] == pytest.approx(2.296, abs=1e-3)
+
+    def test_exact_roots_as_floats(self):
+        s2 = math.sqrt(2.0)
+        assert vv_ratio_roots(2) == [1.0, math.sqrt(3.0)]
+        assert vv_ratio_roots(3) == [math.sqrt(2.0 - s2), s2, math.sqrt(2.0 + s2)]
+        for k in (2, 3):
+            assert all(type(r) is float for r in vv_ratio_roots(k))
+        with pytest.raises(ValueError):
+            vv_ratio_roots(1)
 
     def test_roots_satisfy_ratio_equation(self):
         for k in (2, 3):
