@@ -48,6 +48,7 @@ from .samplers import (
     metropolis_accept,
     partial_momentum_update,
     run_chain,
+    run_chains,
 )
 from .tuning import (
     BurninStats,

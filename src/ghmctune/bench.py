@@ -72,7 +72,7 @@ from .samplers import (
     UniformInterval,
     chain_rng,
     check_rule,
-    run_chain,
+    run_chains,
 )
 from .tuning import TuningReport, atune, config_from_report
 
@@ -185,6 +185,8 @@ class RunConfig:
                      "l_fixed", "l_range", "l_choices"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        if self.seed < 0:  # it keys every random stream of the run
+            raise ConfigError(f"seed={self.seed}: must be non-negative")
         rules = _override_rules(self)  # range-check the overrides before any output
         # the tuned step interval is set for three-stage schemes
         if (self.integrator is not None and "dt" not in rules
@@ -419,12 +421,12 @@ def _pool_context(workers: int):
 _pool_run: list = []
 
 
-def _chain(index: int, run: Optional[tuple] = None):
-    """Chain ``index`` of ``run``, by default of the run a pool worker holds."""
+def _chains(indices: list, run: Optional[tuple] = None) -> list:
+    """Chains ``indices`` of ``run`` in lock-step (default: the worker's run)."""
     model, sampler_config, n_prod, starts = run or _pool_run[0]
-    # looked up at call time, so a wrapper on ghmctune.bench.run_chain sees it
-    return run_chain(model, sampler_config, n_prod, initial_theta=starts[index],
-                     chain_index=index)
+    # looked up at call time, so a wrapper on ghmctune.bench.run_chains sees it
+    return run_chains(model, sampler_config, n_prod,
+                      [starts[i] for i in indices], indices)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +465,10 @@ def cmd_sample(config: RunConfig, report: Optional[TuningReport] = None,
     One model, sampler configuration and set of start points, resolved
     before any output, serve inline tuning and every chain.  Tunes inline
     when no report is supplied and the overrides leave the step size or the
-    scheme to one.  ``workers`` > 1 runs the chains in a forked pool that
-    inherits the run; results do not depend on the worker count.
+    scheme to one.  The chains run in lock-step (``run_chains``): all of
+    them in this process, or with ``workers`` > 1 one contiguous group per
+    worker of a forked pool that inherits the run; results do not depend
+    on the worker count.
     """
     return _sample(config, resolve_benchmark(config), report, workers)
 
@@ -490,12 +494,17 @@ def _sample(config: RunConfig, model: TargetModel,
 
     t0 = time.perf_counter()
     if pool_context is None:
-        results = [_chain(i, run) for i in range(config.n_chains)]
+        results = _chains(list(range(config.n_chains)), run)
     else:
-        with pool_context.Pool(min(workers, config.n_chains),
-                               initializer=_pool_run.append,
+        # one contiguous group of chains per worker; row-wise model calls
+        # make the chains independent of the grouping
+        n_groups = min(workers, config.n_chains)
+        bounds = [config.n_chains * g // n_groups for g in range(n_groups + 1)]
+        groups = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        with pool_context.Pool(n_groups, initializer=_pool_run.append,
                                initargs=(run,)) as pool:
-            results = pool.map(_chain, range(config.n_chains))
+            results = [chain for group in pool.map(_chains, groups)
+                       for chain in group]
     sampling_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()

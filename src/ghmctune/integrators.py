@@ -431,38 +431,38 @@ def vv_ratio_roots(k: int) -> list[float]:
 # Applying a scheme to a model
 
 
-def apply_leg(kicks: tuple, drifts: tuple, model, theta: np.ndarray,
-              p: np.ndarray, dt: float, n_steps: int, grad: np.ndarray):
-    """Integrate n_steps unit-mass steps; touching end-kicks share one gradient.
+def apply_leg(kicks, drifts, model, theta: np.ndarray, p: np.ndarray,
+              grad: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Advance theta and p in place by one unit-mass integration step.
 
-    The last kick of a step and the first kick of the next use the same
-    gradient but stay two momentum updates, not one merged kick.
+    The rows of (C, D) theta and p are chains integrated together: every
+    stage calls the model's row-wise gradient once on all of them, and each
+    product is formed in ``tmp`` (``np.multiply(coef, g, out=tmp)``), which
+    gives the bits of ``coef * g``.  The last kick of a step and the first
+    kick of the next use the same gradient but stay two momentum updates,
+    not one merged kick.
 
     Args:
-        kicks, drifts: Coefficients of one step, as in ``SplittingScheme``
-            (k + 1 kicks, k drifts, palindromic, positive, each summing to
-            1); the caller guarantees these properties.
+        kicks, drifts: The k + 1 kick and k drift coefficients of one step
+            (palindromic, positive, each summing to 1, as in
+            ``SplittingScheme``), each already multiplied by the step size:
+            floats, or (C, 1) columns holding one chain's values per row.
         model: Target model providing ``gradient``.
-        theta, p: Current state (not modified; copied once for the leg).
-        dt: Dimensional step size.
-        n_steps: Number of steps.
-        grad: Gradient at ``theta``, which the leading kick reuses, so the
-            leg charges exactly ``n_steps * len(drifts)`` fresh gradient
-            evaluations.
+        theta, p: Positions and momenta, updated in place.
+        grad: Gradient at ``theta``, which the leading kick reuses, so a step
+            charges exactly ``len(drifts)`` fresh gradient evaluations.
+        tmp: Scratch array of the shape of ``p``.
 
     Returns:
-        (theta, p, grad, n_evals) with ``grad`` the gradient at the new theta
-        and ``n_evals`` the fresh gradient evaluations.
+        The gradient at the new theta.
     """
     gradient = model.gradient
-    theta = np.array(theta, dtype=float)
-    p = np.array(p, dtype=float)
-    first_kick = kicks[0] * dt
-    stages = [(a * dt, b * dt) for a, b in zip(drifts, kicks[1:])]
-    for _ in range(n_steps):
-        p -= first_kick * grad
-        for drift, kick in stages:
-            theta += drift * p
-            grad = gradient(theta)
-            p -= kick * grad
-    return theta, p, grad, n_steps * len(drifts)
+    np.multiply(kicks[0], grad, out=tmp)
+    p -= tmp
+    for drift, kick in zip(drifts, kicks[1:]):
+        np.multiply(drift, p, out=tmp)
+        theta += tmp
+        grad = gradient(theta)
+        np.multiply(kick, grad, out=tmp)
+        p -= tmp
+    return grad

@@ -5,6 +5,16 @@ the gradient of U, and (optionally) the Hessian of U.  Models built here are
 immutable and safe to share across concurrently running chains; every operation
 is a pure function of (model, theta).
 
+Potential and gradient are row-wise: theta of shape (..., D) gives results of
+shape (...) and (..., D), and each row's result is, bit for bit, what that row
+gives alone, so chains sampled together in one (C, D) batch equal chains
+sampled one at a time.  The built-in models get this from one formula each:
+matrix-vector products as ``np.matmul(A, theta[..., None])[..., 0]``, dot
+products as ``(u[..., None, :] @ v[..., :, None])[..., 0, 0]`` and sums over
+the last axis, which perform per row the same BLAS calls and reductions as
+the one-dimensional expressions.  A plain (C, D) @ (D, D) product would not:
+its rows change in the last bits with C.
+
 Built-in targets:
 
 * multivariate Gaussian with an arbitrary symmetric positive definite
@@ -51,9 +61,11 @@ class TargetModel:
 
     Attributes:
         dimension: Number of sampled variables D.
-        potential: Map theta -> U(theta), a scalar.
-        gradient: Map theta -> grad U(theta), shape (D,).
-        hessian: Optional map theta -> Hessian of U, shape (D, D), symmetric.
+        potential: Map theta -> U(theta), row-wise: shape (..., D) -> (...).
+        gradient: Map theta -> grad U(theta), row-wise: shape (..., D) ->
+            (..., D).
+        hessian: Optional map theta -> Hessian of U, shape (D,) -> (D, D),
+            symmetric.
             Tuning differentiates ``gradient`` instead when it is None, at
             2 D gradient calls per Hessian.
         name: Short identifier used in reports.
@@ -102,8 +114,8 @@ def gaussian_model(spec: GaussianSpec | np.ndarray, name: str = "gaussian") -> T
     p = spec.precision
     return TargetModel(
         dimension=spec.dimension,
-        potential=lambda th: 0.5 * float(th @ p @ th),
-        gradient=lambda th: p @ th,
+        potential=lambda th: 0.5 * (th[..., None, :] @ p @ th[..., :, None])[..., 0, 0],
+        gradient=lambda th: np.matmul(p, th[..., None])[..., 0],
         hessian=lambda th: p,
         name=name,
     )
@@ -210,16 +222,18 @@ def blr_model(dataset: BlrDataset, prior_std: float = 10.0,
     z = dataset.design_matrix()
     y = dataset.y
     inv_var = 1.0 / (prior_std * prior_std)
+    zt = z.T
 
     def potential(theta):
-        logits = z @ theta
-        return float(np.sum(np.logaddexp(0.0, logits) - y * logits)
-                     + 0.5 * inv_var * theta @ theta)
+        logits = np.matmul(z, theta[..., None])[..., 0]
+        scaled = 0.5 * inv_var * theta
+        prior = (scaled[..., None, :] @ theta[..., :, None])[..., 0, 0]
+        return np.sum(np.logaddexp(0.0, logits) - y * logits, axis=-1) + prior
 
     def grad(theta):
-        logits = z @ theta
-        s = _sigmoid(logits)
-        return z.T @ (s - y) + inv_var * theta
+        logits = np.matmul(z, theta[..., None])[..., 0]
+        r = _sigmoid(logits) - y
+        return np.matmul(zt, r[..., None])[..., 0] + inv_var * theta
 
     def hess(theta):
         logits = z @ theta
@@ -233,12 +247,9 @@ def blr_model(dataset: BlrDataset, prior_std: float = 10.0,
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) elementwise, without overflow for any finite x."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def make_synthetic_blr(dimension: int, n_observations: int, seed: int) -> BlrDataset:
@@ -337,15 +348,18 @@ def banana_model(spec: BananaSpec, name: str = "banana") -> TargetModel:
     sp = spec.prior_var
     sy = spec.obs_var
 
+    def residuals(th):
+        return y - th[..., 0, None] - (th[..., 1] * th[..., 1])[..., None]
+
     def potential(th):
-        r = y - th[0] - th[1] * th[1]
-        return float(0.5 * (th @ th) / sp + 0.5 * np.sum(r * r) / sy)
+        r = residuals(th)
+        sq = (th[..., None, :] @ th[..., :, None])[..., 0, 0]
+        return 0.5 * sq / sp + 0.5 * np.sum(r * r, axis=-1) / sy
 
     def grad(th):
-        r = y - th[0] - th[1] * th[1]
-        s = np.sum(r)
-        return np.array([th[0] / sp - s / sy,
-                         th[1] / sp - 2.0 * th[1] * s / sy])
+        s = np.sum(residuals(th), axis=-1)
+        return np.stack([th[..., 0] / sp - s / sy,
+                         th[..., 1] / sp - 2.0 * th[..., 1] * s / sy], axis=-1)
 
     def hess(th):
         s = np.sum(y - th[0] - th[1] * th[1])

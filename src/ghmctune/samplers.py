@@ -17,12 +17,19 @@ regardless of scheduling:
 Within an iteration the stream is consumed in a fixed order: dt draw, L draw,
 phi draw (when randomized), refresh noise, acceptance uniform.
 
-An iteration does only these draws, numpy arithmetic and model calls.  The
-integrator hands the kernel plain (kicks, drifts) coefficient tuples: a fixed
-``SplittingScheme`` its own, ``AdaptiveScheme`` those looked up from the
-tabulated s-AIA3 map at each drawn step; the iteration updates one
-``ChainState`` per chain in place and writes its record straight into row i
-of the chain's ``ChainRecords``.
+There is one kernel path, a lock-step engine over (C, D) arrays:
+``run_chains`` advances C chains in ticks, each tick one integration step of
+every live chain with its own coefficient column (``apply_leg``).  A chain
+whose L steps are done takes its Metropolis test, writes its record and
+sample row and begins its next iteration before the next tick, so chains
+with different L never wait for one another; a chain with all its
+iterations done drops out.  The model's row-wise calls give each row what it
+gives alone, so every chain is, byte for byte, the chain sampled on its own:
+``run_chain`` is ``run_chains`` on one chain, and the burn-in and
+``ghmc_iteration`` drive a one-chain batch through the same begin, step and
+finish pieces.  The scheme hands the kernel plain (kicks, drifts) coefficient
+tuples: a fixed ``SplittingScheme`` its own, ``AdaptiveScheme`` those looked
+up from the tabulated s-AIA3 map at each drawn step.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ __all__ = [
     "metropolis_accept",
     "ghmc_iteration",
     "run_chain",
+    "run_chains",
 ]
 
 # Proposals with |dH| above this (or any non-finite quantity) count as
@@ -273,77 +281,301 @@ def metropolis_accept(delta_h: float, rng: np.random.Generator) -> bool:
     return rng.random() < math.exp(-delta_h)
 
 
+@dataclass(eq=False)
+class _Chain:
+    """The per-chain part of a lock-step batch: stream, outputs, iteration.
+
+    ``i`` is the iteration under way, ``potential`` U at the chain's current
+    position, and the rest the draws of iteration ``i``: its step size,
+    step count, refresh noise, the energy after the refresh, and the
+    integration steps still to take.  Without ``samples`` no sample rows
+    are kept.
+    """
+
+    index: int
+    rng: np.random.Generator
+    records: ChainRecords
+    samples: Optional[np.ndarray] = None
+    i: int = 0
+    potential: float = 0.0
+    dt: float = 0.0
+    n_steps: int = 0
+    phi: float = 0.0
+    h0: float = 0.0
+    left: int = 0
+
+
+class _LockStep:
+    """C chains advanced together on (C, D) arrays.
+
+    Row r of every array belongs to ``chains[r]``.  ``theta``, ``p`` and
+    ``grad`` hold each chain's position, momentum and gradient; while an
+    iteration is under way they are its trajectory, and ``theta0``, ``p0``
+    (the refreshed momentum) and ``grad0`` its start, which a rejection
+    restores.  Row r of ``coef`` holds chain r's k + 1 kicks and k drifts
+    times its step size; ``kicks`` and ``drifts`` are its (C, 1) columns.
+
+    Each ``tick`` takes one integration step on every row.  A chain whose L
+    steps are done is ``finish``-ed (Metropolis test and record) and may
+    ``begin`` its next iteration before the next tick, so chains with
+    different L never wait for one another.  Callers run the methods under
+    ``np.errstate(over="ignore", invalid="ignore")``: divergent trajectories
+    overflow by design and are rejected.
+    """
+
+    def __init__(self, model, config: SamplerConfig, chains: list,
+                 theta: np.ndarray, p: np.ndarray, grad: np.ndarray):
+        self.model = model
+        self.config = config
+        self.chains = chains
+        self.theta = np.array(theta, dtype=float)
+        self.p = np.array(p, dtype=float)
+        self.grad = np.array(grad, dtype=float)
+        self.theta0 = np.empty_like(self.theta)
+        self.p0 = np.empty_like(self.p)
+        self.grad0 = np.empty_like(self.grad)
+        self.tmp = np.empty_like(self.p)
+        self.coef = np.empty((len(chains), 2 * config.scheme.stages + 1))
+        self._split_coef()
+
+    def _split_coef(self) -> None:
+        columns = [self.coef[:, j:j + 1] for j in range(self.coef.shape[1])]
+        k = len(columns) // 2
+        self.kicks, self.drifts = columns[:k + 1], columns[k + 1:]
+
+    def _failure(self, r: int, exc: Exception) -> RuntimeError:
+        chain = self.chains[r]
+        return RuntimeError(f"chain {chain.index} failed at iteration "
+                            f"{chain.i}: {exc}")
+
+    def _blame(self, rows, call, exc: Exception) -> RuntimeError:
+        """The failure of the first of ``rows`` whose theta fails ``call`` alone.
+
+        A batched model call does not say which row raised; a row-wise
+        model gives each row the result it gives alone, so the row that
+        raises alone is the one to name.
+        """
+        if len(rows) > 1:
+            for r in rows:
+                try:
+                    call(self.theta[r])
+                except Exception as row_exc:
+                    return self._failure(r, row_exc)
+        return self._failure(rows[0], exc)
+
+    def begin(self, rows, dt: Optional[float] = None) -> None:
+        """Start the next iteration of ``rows``.
+
+        Per chain, draws dt (unless given, as the burn-in gives its adapted
+        step), L and phi from its stream, refreshes the momentum and sets
+        the coefficients; then saves each row's start.
+        """
+        config = self.config
+        for r in rows:
+            chain = self.chains[r]
+            rng = chain.rng
+            try:
+                step = float(config.dt_rule.draw(rng)) if dt is None else dt
+                chain.dt = step
+                chain.n_steps = chain.left = int(config.l_rule.draw(rng))
+                chain.phi = phi = float(config.phi_rule.draw(rng))
+                p = partial_momentum_update(self.p[r], phi, rng)
+                chain.h0 = chain.potential + 0.5 * float(p @ p)
+                kicks, drifts = config.scheme.step_coefficients(step)
+                self.coef[r] = [c * step for c in kicks + drifts]
+            except Exception as exc:
+                raise self._failure(r, exc) from exc
+            self.p[r] = p
+        every = len(rows) == len(self.chains)
+        for start, now in ((self.theta0, self.theta), (self.p0, self.p),
+                           (self.grad0, self.grad)):
+            if every:
+                np.copyto(start, now)
+            else:
+                start[rows] = now[rows]
+
+    def tick(self) -> list:
+        """One integration step on every row; the rows whose L steps are done."""
+        try:
+            self.grad = apply_leg(self.kicks, self.drifts, self.model,
+                                  self.theta, self.p, self.grad, self.tmp)
+        except Exception as exc:
+            raise self._blame(range(len(self.chains)), self.model.gradient,
+                              exc) from exc
+        done = []
+        for r, chain in enumerate(self.chains):
+            chain.left -= 1
+            if not chain.left:
+                done.append(r)
+        return done
+
+    def finish(self, rows: list) -> None:
+        """Metropolis test, record and sample of the rows whose L steps are done.
+
+        On acceptance a row keeps the trajectory's end state; on rejection
+        it returns to its start with the refreshed momentum negated.  The
+        record and the position go to row ``i`` of the chain's records and
+        samples, and ``i`` advances; a proposal charges L * k fresh gradient
+        evaluations.
+        """
+        every = len(rows) == len(self.chains)
+        theta = self.theta if every else self.theta[rows]
+        p = self.p if every else self.p[rows]
+        finite = (np.isfinite(theta).all(axis=1)
+                  & np.isfinite(p).all(axis=1)).tolist()
+        ok = [j for j, flag in enumerate(finite) if flag]
+        potential = [math.nan] * len(rows)
+        if ok:
+            try:
+                values = self.model.potential(
+                    theta if len(ok) == len(rows) else theta[ok])
+            except Exception as exc:
+                raise self._blame([rows[j] for j in ok], self.model.potential,
+                                  exc) from exc
+            for j, u in zip(ok, values.tolist()):
+                potential[j] = u
+        stages = self.config.scheme.stages
+        for r, u_new in zip(rows, potential):
+            chain = self.chains[r]
+            delta_h = math.inf
+            if math.isfinite(u_new):
+                p_new = self.p[r]
+                delta_h = u_new + 0.5 * float(p_new @ p_new) - chain.h0
+            divergent = (not math.isfinite(delta_h)
+                         or abs(delta_h) > DIVERGENCE_THRESHOLD)
+            if not math.isfinite(delta_h):
+                delta_h = math.inf
+            accepted = (not divergent) and metropolis_accept(delta_h, chain.rng)
+            if accepted:
+                chain.potential = u_new
+            else:
+                self.theta[r] = self.theta0[r]
+                self.grad[r] = self.grad0[r]
+                np.negative(self.p0[r], out=self.p[r])
+            records, i = chain.records, chain.i
+            records.accepted[i] = accepted
+            records.delta_h[i] = delta_h
+            records.n_steps[i] = chain.n_steps
+            records.dt[i] = chain.dt
+            records.phi[i] = chain.phi
+            records.grad_evals[i] = chain.n_steps * stages
+            records.divergent[i] = divergent
+            if chain.samples is not None:
+                chain.samples[i] = self.theta[r]
+            chain.i = i + 1
+
+    def iterate(self, dt: float) -> None:
+        """One whole iteration of a one-chain batch at step dt."""
+        self.begin([0], dt)
+        while not self.tick():
+            pass
+        self.finish([0])
+
+    def drop(self, rows: list) -> None:
+        """Remove the rows of chains that have finished their last iteration."""
+        keep = [r for r in range(len(self.chains)) if r not in rows]
+        self.chains = [self.chains[r] for r in keep]
+        for name in ("theta", "p", "grad", "theta0", "p0", "grad0", "tmp",
+                     "coef"):
+            setattr(self, name, getattr(self, name)[keep])
+        self._split_coef()
+
+
+def _start(model, config: SamplerConfig, chains: list, starts) -> _LockStep:
+    """A batch at each chain's first state.
+
+    Per chain, theta (unless given), then p, are drawn from its stream; U
+    and its gradient at theta are evaluated for all chains at once.
+    """
+    d = model.dimension
+    thetas, ps = [], []
+    for chain, theta in zip(chains, starts):
+        if theta is None:
+            theta = chain.rng.standard_normal(d)
+        else:
+            theta = np.array(theta, dtype=float)
+            if theta.shape != (d,):
+                raise ValueError("initial theta has the wrong dimension")
+        thetas.append(theta)
+        ps.append(chain.rng.standard_normal(d))
+    thetas = np.array(thetas)
+    for chain, u in zip(chains, model.potential(thetas).tolist()):
+        chain.potential = u
+    return _LockStep(model, config, chains, thetas, ps,
+                     model.gradient(thetas))
+
+
 def ghmc_iteration(state: ChainState, dt: float, config: SamplerConfig, model,
                    rng: np.random.Generator, records: ChainRecords,
                    i: int) -> None:
     """One momentum-refresh / integrate / Metropolis-test cycle at step dt.
 
-    The caller draws ``dt`` (the first draw of the iteration) or, during the
-    burn-in, passes its adapted step.  On acceptance the integrated state is
-    adopted as-is; on rejection the position is kept and the momentum
-    negated.  ``state`` is updated in place and the iteration's record is
-    written to row ``i`` of ``records``.  The proposal charges L * k fresh
-    gradient evaluations (touching end-kicks of consecutive steps share one;
-    the leading kick reuses the gradient cached in the state).
+    The one-chain form of the lock-step kernel: ``state`` is updated in
+    place and the iteration's record is written to row ``i`` of
+    ``records``.  The caller draws ``dt`` (the first draw of the iteration)
+    or passes an adapted step.
     """
-    n_steps = int(config.l_rule.draw(rng))
-    phi = float(config.phi_rule.draw(rng))
-
-    p = partial_momentum_update(state.p, phi, rng)
-    h0 = state.potential + 0.5 * float(p @ p)
-
-    kicks, drifts = config.scheme.step_coefficients(dt)
-    # divergent trajectories overflow by design and are rejected below
+    chain = _Chain(0, rng, records, i=i, potential=state.potential)
+    batch = _LockStep(model, config, [chain], state.theta[None],
+                      state.p[None], state.grad[None])
     with np.errstate(over="ignore", invalid="ignore"):
-        theta, p_new, grad, n_evals = apply_leg(
-            kicks, drifts, model, state.theta, p, dt, n_steps, state.grad
-        )
-        delta_h = math.inf
-        u_new = math.nan
-        if np.isfinite(theta).all() and np.isfinite(p_new).all():
-            u_new = float(model.potential(theta))
-            if math.isfinite(u_new):
-                delta_h = u_new + 0.5 * float(p_new @ p_new) - h0
-    divergent = not math.isfinite(delta_h) or abs(delta_h) > DIVERGENCE_THRESHOLD
-    if not math.isfinite(delta_h):
-        delta_h = math.inf
-
-    accepted = (not divergent) and metropolis_accept(delta_h, rng)
-    if accepted:
-        state.theta = theta
-        state.p = p_new
-        state.potential = u_new
-        state.grad = grad
-    else:
-        state.p = np.negative(p, out=p)  # p is the refresh's own new array
-    records.accepted[i] = accepted
-    records.delta_h[i] = delta_h
-    records.n_steps[i] = n_steps
-    records.dt[i] = dt
-    records.phi[i] = phi
-    records.grad_evals[i] = n_evals
-    records.divergent[i] = divergent
+        batch.iterate(dt)
+    state.theta, state.p, state.grad = batch.theta[0], batch.p[0], batch.grad[0]
+    state.potential = chain.potential
 
 
-def _start_state(model, rng: np.random.Generator,
-                 theta: Optional[np.ndarray] = None) -> ChainState:
-    """First state: theta (unless given), then p, drawn from ``rng``."""
-    d = model.dimension
-    if theta is None:
-        theta = rng.standard_normal(d)
-    else:
-        theta = np.array(theta, dtype=float)
-        if theta.shape != (d,):
-            raise ValueError("initial theta has the wrong dimension")
-    p = rng.standard_normal(d)
-    return ChainState(theta, p, float(model.potential(theta)),
-                      np.asarray(model.gradient(theta), dtype=float))
+def run_chains(model, config: SamplerConfig, n_iterations: int, starts,
+               chain_indices) -> list:
+    """Run chains in lock-step; return one (samples, records) per chain.
+
+    Every chain is, byte for byte, the chain run alone: each draws from its
+    own stream in the order of a single chain, and the model's row-wise
+    calls give each row the result it gives alone.
+
+    Args:
+        model: Target model, row-wise (see ``TargetModel``).
+        config: Sampler configuration shared by the chains.
+        n_iterations: Number of recorded iterations per chain, at least 1.
+        starts: Starting point per chain; None draws a standard normal one
+            from the chain's stream.
+        chain_indices: Index per chain, keying its stream on
+            (``config.seed``, index).
+
+    Returns:
+        A list of (samples of shape (n_iterations, D), ChainRecords), in the
+        order of ``chain_indices``.
+
+    Raises:
+        RuntimeError: A chain failed; the message names the chain's index
+            and iteration.
+    """
+    if n_iterations < 1:
+        raise ValueError("need at least one iteration")
+    chains = [_Chain(index, chain_rng(config.seed, index),
+                     ChainRecords.empty(n_iterations),
+                     np.empty((n_iterations, model.dimension)))
+              for index in chain_indices]
+    batch = _start(model, config, chains, starts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch.begin(range(len(chains)))
+        while batch.chains:
+            done = batch.tick()
+            if not done:
+                continue
+            batch.finish(done)
+            going = [r for r in done if batch.chains[r].i < n_iterations]
+            ended = [r for r in done if batch.chains[r].i == n_iterations]
+            if going:
+                batch.begin(going)
+            if ended:
+                batch.drop(ended)
+    return [(chain.samples, chain.records) for chain in chains]
 
 
 def run_chain(model, config: SamplerConfig, n_iterations: int,
               initial_theta: Optional[np.ndarray] = None,
               chain_index: int = 0) -> tuple[np.ndarray, ChainRecords]:
-    """Run one chain and return (samples, records).
+    """Run one chain and return (samples, records): ``run_chains`` on one chain.
 
     Args:
         model: Target model.
@@ -358,18 +590,5 @@ def run_chain(model, config: SamplerConfig, n_iterations: int,
         samples: Array of shape (n_iterations, D).
         records: Per-iteration ChainRecords.
     """
-    if n_iterations < 1:
-        raise ValueError("need at least one iteration")
-    rng = chain_rng(config.seed, chain_index)
-    state = _start_state(model, rng, initial_theta)
-    samples = np.empty((n_iterations, model.dimension))
-    records = ChainRecords.empty(n_iterations)
-    draw_dt = config.dt_rule.draw
-    for i in range(n_iterations):
-        try:
-            ghmc_iteration(state, float(draw_dt(rng)), config, model, rng,
-                           records, i)
-        except Exception as exc:
-            raise RuntimeError(f"chain {chain_index} failed at iteration {i}: {exc}") from exc
-        samples[i] = state.theta
-    return samples, records
+    return run_chains(model, config, n_iterations, [initial_theta],
+                      [chain_index])[0]

@@ -41,10 +41,10 @@ from .samplers import (
     Fixed,
     SamplerConfig,
     UniformInterval,
-    _start_state,
+    _Chain,
+    _start,
     chain_rng,
     check_rule,
-    ghmc_iteration,
 )
 
 __all__ = [
@@ -182,24 +182,24 @@ def run_burnin(model, n_burnin: int, mode: str = "ghmc",
         scheme=integrators.build_scheme("vv"),
         seed=seed,
     )
-    rng = chain_rng(seed, 0)
-    state = _start_state(model, rng)
-
     samples = np.empty((n_burnin, d))
     records = ChainRecords.empty(n_burnin)
+    batch = _start(model, config,
+                   [_Chain(0, chain_rng(seed, 0), records, samples)], [None])
     window = []
-    for t in range(1, n_burnin + 1):
-        ghmc_iteration(state, dt, config, model, rng, records, t - 1)
-        samples[t - 1] = state.theta
-        if records.divergent[t - 1]:
-            dt = max(dt * 0.5, 1e-12)
-            window.clear()
-            continue
-        window.append(1.0 if records.accepted[t - 1] else 0.0)
-        if len(window) > _AR_WINDOW:
-            window.pop(0)
-        dt = adapt_step_size(float(np.mean(window)), dt, target_ar,
-                             1.0 / math.sqrt(t))
+    # divergent trajectories overflow by design and are rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, n_burnin + 1):
+            batch.iterate(dt)
+            if records.divergent[t - 1]:
+                dt = max(dt * 0.5, 1e-12)
+                window.clear()
+                continue
+            window.append(1.0 if records.accepted[t - 1] else 0.0)
+            if len(window) > _AR_WINDOW:
+                window.pop(0)
+            dt = adapt_step_size(float(np.mean(window)), dt, target_ar,
+                                 1.0 / math.sqrt(t))
 
     half = n_burnin // 2
     ar = float(np.mean(records.accepted[half:]))

@@ -670,7 +670,8 @@ class TestCli:
          "dt_fixed, dt_interval"),
         (["--l-fixed", "2", "--l-range", "1,3"], "l_fixed, l_range"),
         (["--phi-fixed", "0.5", "--phi-interval", "0.1,0.2"],
-         "phi_fixed, phi_interval")])
+         "phi_fixed, phi_interval"),
+        (["--seed=-1"], "seed")])
     def test_bad_override_exits_before_output(self, tmp_path, capsys, flags,
                                               name, integrator):
         # without --integrator the run would tune first
@@ -698,7 +699,9 @@ class TestCli:
         ('{"benchmark": "gauss-4", "n_burnin": 200, "n_prod": 100, "seed": 1.5}',
          "seed"),
         ('{"benchmark": "gauss-4", "n_burnin": 200, "n_prod": 100, "window": 20.5}',
-         "window")])
+         "window"),
+        ('{"benchmark": "gauss-4", "n_burnin": 200, "n_prod": 100, "seed": -1}',
+         "seed")])
     def test_bad_config_file_exits_before_output(self, tmp_path, capsys, text,
                                                  name):
         cfg_file = tmp_path / "cfg.json"

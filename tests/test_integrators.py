@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -339,17 +340,28 @@ class TestVvRatioRoots:
                 assert ratio == pytest.approx(1.0, abs=1e-8)
 
 
+def _leg(scheme, model, theta, p, h, n_steps, grad):
+    """n_steps steps of ``scheme`` at step h from copies of theta and p."""
+    theta, p = np.array(theta, dtype=float), np.array(p, dtype=float)
+    kicks = [k * h for k in scheme.kicks]
+    drifts = [a * h for a in scheme.drifts]
+    tmp = np.empty_like(p)
+    for _ in range(n_steps):
+        grad = apply_leg(kicks, drifts, model, theta, p, grad, tmp)
+    return theta, p, grad
+
+
 class TestApplySteps:
     def test_constant_potential_pure_drift(self):
         from ghmctune.models import TargetModel
 
         # zero-gradient field: kicks are identity, drifts accumulate to dt
-        model = TargetModel(2, lambda th: 0.0, lambda th: np.zeros(2), None, "flat")
+        model = TargetModel(2, lambda th: np.zeros(th.shape[:-1]),
+                            lambda th: np.zeros_like(th), None, "flat")
         theta, p = np.array([0.2, -0.4]), np.array([1.0, 0.5])
         for name in ALL_NAMES:
             s = build_scheme(name)
-            t2, p2, _, _ = apply_leg(s.kicks, s.drifts, model, theta, p, 0.3, 1,
-                                     model.gradient(theta))
+            t2, p2, _ = _leg(s, model, theta, p, 0.3, 1, model.gradient(theta))
             assert t2 == pytest.approx(theta + 0.3 * p, rel=1e-14)
             assert p2 == pytest.approx(p, rel=1e-14)
 
@@ -359,8 +371,8 @@ class TestApplySteps:
         for name in ALL_NAMES:
             s = build_scheme(name)
             h = 0.9
-            t2, p2, _, _ = apply_leg(s.kicks, s.drifts, model, state[0], state[1],
-                                     h, 1, model.gradient(state[0]))
+            t2, p2, _ = _leg(s, model, state[0], state[1], h, 1,
+                             model.gradient(state[0]))
             m = harmonic_propagator(s, h).matrix()
             expected = m @ np.array([state[0][0], state[1][0]])
             assert t2[0] == pytest.approx(expected[0], abs=1e-12)
@@ -372,19 +384,46 @@ class TestApplySteps:
         rng = np.random.default_rng(3)
         s = build_scheme(name)
         theta, p = rng.standard_normal(3), rng.standard_normal(3)
-        t1, p1, g1, _ = apply_leg(s.kicks, s.drifts, model, theta, p, 0.15, 4,
-                                  model.gradient(theta))
-        t2, p2, _, _ = apply_leg(s.kicks, s.drifts, model, t1, -p1, 0.15, 4, g1)
+        t1, p1, g1 = _leg(s, model, theta, p, 0.15, 4, model.gradient(theta))
+        t2, p2, _ = _leg(s, model, t1, -p1, 0.15, 4, g1)
         assert t2 == pytest.approx(theta, abs=1e-10)
         assert -p2 == pytest.approx(p, abs=1e-10)
 
     def test_gradient_charging(self):
-        model = gaussian_model(np.eye(2))
+        base = gaussian_model(np.eye(2))
+        calls = []
+
+        def gradient(theta):
+            calls.append(1)
+            return base.gradient(theta)
+
+        model = dataclasses.replace(base, gradient=gradient)
         s = build_scheme("bcss3")
         theta, p = np.zeros(2), np.ones(2)
-        grad0 = model.gradient(theta)
-        _, _, _, n = apply_leg(s.kicks, s.drifts, model, theta, p, 0.1, 5, grad=grad0)
-        assert n == 5 * s.stages
+        grad0 = base.gradient(theta)
+        _leg(s, model, theta, p, 0.1, 5, grad=grad0)
+        assert len(calls) == 5 * s.stages
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_rows_step_as_they_step_alone(self, name):
+        # one coefficient column per row: each row of the (C, D) step equals
+        # the step of that row alone at its own step size, byte for byte
+        model = gaussian_model(gen_precision_for_reversibility())
+        rng = np.random.default_rng(5)
+        s = build_scheme(name)
+        theta, p = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        hs = np.array([0.1, 0.15, 0.2, 0.3])
+        kicks = [k * hs[:, None] for k in s.kicks]
+        drifts = [a * hs[:, None] for a in s.drifts]
+        t_rows, p_rows = theta.copy(), p.copy()
+        grad = apply_leg(kicks, drifts, model, t_rows, p_rows,
+                         model.gradient(theta), np.empty_like(p))
+        for c in range(4):
+            t1, p1, g1 = _leg(s, model, theta[c], p[c], float(hs[c]), 1,
+                              model.gradient(theta[c]))
+            assert t_rows[c].tobytes() == t1.tobytes()
+            assert p_rows[c].tobytes() == p1.tobytes()
+            assert grad[c].tobytes() == g1.tobytes()
 
 
 def gen_precision_for_reversibility():

@@ -26,6 +26,7 @@ from ghmctune.samplers import (
     UniformInterval,
     chain_rng,
     run_chain,
+    run_chains,
 )
 from ghmctune.tuning import phi_interval
 
@@ -200,3 +201,26 @@ def test_run_chain_matches_reference_bytes(case, gauss8, saia_map):
             assert got.tobytes() == want.tobytes(), field
         if case == "divergent-steps":
             assert 0 < records.divergent.sum() < n
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_chains_match_chains_run_alone_bytes(case, gauss8, saia_map):
+    # chains of unequal L share ticks; in divergent-steps one chain's
+    # trajectory blows up while the others' stay finite
+    config = SamplerConfig(**CASES[case](saia_map))
+    n = 300
+    indices = [0, 2, 5]
+    starts = [None, np.full(8, 0.3), np.linspace(-1.0, 1.0, 8)]
+    batch = run_chains(gauss8, config, n, starts, indices)
+    assert len(batch) == 3
+    for (samples, records), index, start in zip(batch, indices, starts):
+        alone_samples, alone_records = run_chain(
+            gauss8, config, n, initial_theta=start, chain_index=index)
+        assert samples.tobytes() == alone_samples.tobytes()
+        for field in RECORD_FIELDS:
+            got, want = getattr(records, field), getattr(alone_records, field)
+            assert got.dtype == want.dtype, field
+            assert got.tobytes() == want.tobytes(), field
+    if case == "divergent-steps":
+        flags = np.array([records.divergent for _, records in batch])
+        assert (flags.any(axis=0) & ~flags.all(axis=0)).any()

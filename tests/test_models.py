@@ -16,6 +16,7 @@ from ghmctune.models import (
     make_banana_spec,
     make_synthetic_blr,
     sample_gaussian,
+    _sigmoid,
 )
 
 # Central-difference step scale: cbrt(machine eps) balances truncation and
@@ -234,3 +235,45 @@ class TestGaussianSpec:
         draws = sample_gaussian(spec, 200_000, rng)
         target = np.linalg.inv(spec.precision)
         assert np.max(np.abs(np.cov(draws.T) - target)) < 0.05 * np.max(np.abs(target))
+
+
+class TestRowWise:
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("name", ["gauss-2", "gauss-100",
+                                      "blr-synthetic-25-1000", "banana"])
+    def test_rows_equal_single_calls_bytes(self, name, c):
+        from ghmctune.bench import RunConfig, resolve_benchmark
+
+        model = resolve_benchmark(RunConfig(benchmark=name))
+        thetas = 1.5 * np.random.default_rng(c).standard_normal(
+            (c, model.dimension))
+        grads, potentials = model.gradient(thetas), model.potential(thetas)
+        assert grads.shape == thetas.shape and potentials.shape == (c,)
+        for theta, grad, u in zip(thetas, grads, potentials):
+            alone = theta.copy()
+            assert grad.tobytes() == model.gradient(alone).tobytes()
+            assert u.tobytes() == np.float64(model.potential(alone)).tobytes()
+
+
+def _masked_sigmoid(x):
+    """The logistic function scattered through a sign mask, one row."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("shape", [(7,), (33,), (1000,), (4000,), (4, 1000)])
+    def test_equals_masked_form_bytes(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = np.where(rng.random(shape) < 0.5,
+                     rng.uniform(-800.0, 800.0, shape),
+                     5.0 * rng.standard_normal(shape))
+        x.flat[:4] = (0.0, -0.0, 800.0, -800.0)
+        got = _sigmoid(x)
+        assert got.shape == x.shape
+        for row, want in zip(np.atleast_2d(got), np.atleast_2d(x)):
+            assert row.tobytes() == _masked_sigmoid(want).tobytes()

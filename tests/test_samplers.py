@@ -18,6 +18,7 @@ from ghmctune.samplers import (
     metropolis_accept,
     partial_momentum_update,
     run_chain,
+    run_chains,
 )
 
 
@@ -96,7 +97,8 @@ class TestIteration:
     def test_flat_potential_conserves_energy(self):
         from ghmctune.models import TargetModel
 
-        model = TargetModel(2, lambda th: 0.0, lambda th: np.zeros(2), None, "flat")
+        model = TargetModel(2, lambda th: np.zeros(th.shape[:-1]),
+                            lambda th: np.zeros_like(th), None, "flat")
         config = _vv_config(dt=0.5, l=7)
         rng = chain_rng(0, 0)
         state = ChainState(np.zeros(2), np.ones(2), 0.0, np.zeros(2))
@@ -243,6 +245,47 @@ class TestRunChain:
                                      initial_theta=np.array([1.0]))
         assert records.divergent.any()
         assert not records.accepted[records.divergent].any()
+
+
+class TestRunChains:
+    def test_batch_names_the_failing_chain(self, std_gauss_2d, saia_map):
+        # h = dt beyond the map's (0, 6] fails the coefficient lookup; with
+        # L = 1 the chains move in step, and chain 1 alone fails first
+        config = SamplerConfig(dt_rule=UniformInterval(4.5, 6.3),
+                               l_rule=Fixed(1), phi_rule=Fixed(0.5),
+                               scheme=AdaptiveScheme(1.0, saia_map), seed=12)
+        alone = []
+        for index in range(3):
+            with pytest.raises(RuntimeError) as info:
+                run_chain(std_gauss_2d, config, 50, chain_index=index)
+            alone.append(str(info.value))
+        assert alone[1].startswith("chain 1 failed at iteration 2:")
+        assert alone[0] != alone[1] != alone[2]
+        with pytest.raises(RuntimeError) as info:
+            run_chains(std_gauss_2d, config, 50, [None] * 3, [0, 1, 2])
+        assert str(info.value) == alone[1]
+        assert isinstance(info.value.__cause__, OutOfStabilityError)
+
+    def test_model_failure_names_its_row(self):
+        from ghmctune.models import TargetModel
+
+        def gradient(theta):
+            if not np.isfinite(theta).all():
+                raise ValueError("non-finite position")
+            return theta.copy()
+
+        # h = 3 is unstable for Verlet: the chain started at 1e300 overflows
+        # within its first trajectory, the others stay finite
+        model = TargetModel(1, lambda th: np.zeros(th.shape[:-1]), gradient,
+                            None, "bounded-gradient")
+        config = _vv_config(dt=3.0, l=12, seed=0)
+        starts = [np.zeros(1), np.full(1, 1e300), np.zeros(1)]
+        with pytest.raises(RuntimeError) as alone:
+            run_chain(model, config, 10, initial_theta=starts[1], chain_index=7)
+        assert str(alone.value).startswith("chain 7 failed at iteration 0:")
+        with pytest.raises(RuntimeError) as batch:
+            run_chains(model, config, 10, starts, [3, 7, 9])
+        assert str(batch.value) == str(alone.value)
 
 
 class TestHarmonicAcceptanceRate:

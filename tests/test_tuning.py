@@ -99,7 +99,8 @@ class TestCollectFrequencies:
                                                 abs=1e-12)
 
     def test_negative_eigenvalues_clamped(self):
-        model = TargetModel(2, lambda th: 0.0, lambda th: np.zeros(2),
+        model = TargetModel(2, lambda th: np.zeros(th.shape[:-1]),
+                            lambda th: np.zeros_like(th),
                             lambda th: np.diag([-1.0, 4.0]), "saddle")
         omegas, clamped = collect_frequencies(model, np.zeros((5, 2)))
         assert clamped == 5
