@@ -44,7 +44,6 @@ from .samplers import (
     SamplerConfig,
     UniformInterval,
     chain_rng,
-    ghmc_iteration,
     metropolis_accept,
     partial_momentum_update,
     run_chain,

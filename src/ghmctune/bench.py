@@ -373,7 +373,8 @@ def _build_sampler_config(config: RunConfig,
     """The tuned settings with the overrides of ``config`` on top.
 
     ``cmd_sample`` tunes whenever the overrides leave the step size or the
-    scheme to a report, so without a report both are overridden.
+    scheme to a report, so without a report both are overridden.  A step
+    override for the tuned scheme must keep cf * dt on the s-AIA3 map.
     """
     rules = {f"{quantity}_rule": rule
              for quantity, rule in _override_rules(config).items()}
@@ -386,7 +387,17 @@ def _build_sampler_config(config: RunConfig,
         rules["scheme"] = build_scheme(config.integrator)
     if report is None:
         return SamplerConfig(**{"l_rule": Fixed(1), **rules}, seed=config.seed)
-    return replace(config_from_report(report), **rules, seed=config.seed)
+    sampler_config = replace(config_from_report(report), **rules, seed=config.seed)
+    if "dt_rule" in rules:
+        rule = rules["dt_rule"]
+        name = "dt_fixed" if config.dt_fixed is not None else "dt_interval"
+        for dt in ((rule.value,) if isinstance(rule, Fixed)
+                   else (rule.lower, rule.upper)):
+            try:
+                sampler_config.scheme.step_coefficients(dt)
+            except integrators.OutOfStabilityError as exc:
+                raise ConfigError(f"{name}={getattr(config, name)!r}: {exc}") from exc
+    return sampler_config
 
 
 def _warm_starts(config: RunConfig) -> list:

@@ -378,27 +378,30 @@ def lambda_k(scheme: SplittingScheme) -> float:
 def stability_interval(scheme: SplittingScheme) -> tuple[float, float]:
     """(0, h_max) with h_max the supremum of steps keeping |A_h + D_h| <= 2.
 
-    Scans outward and bisects the first strict violation.  Interior points
-    where the trace touches +-2 tangentially (resonances of composed maps)
-    do not terminate the interval.
+    Scans outward to the first violation beyond ``_TRACE_EPS``, so interior
+    points where the trace touches +-2 tangentially (resonances of composed
+    maps) do not terminate the interval; then solves |A_h + D_h| = 2 from
+    the last scanned step where |A_h + D_h| < 2.
     """
     from scipy.optimize import brentq
 
     def excess(h):
-        return abs(harmonic_propagator(scheme, h).trace) - 2.0 - _TRACE_EPS
+        return abs(harmonic_propagator(scheme, h).trace) - 2.0
 
     upper = 2.0 * scheme.stages + 1.0
     grid = np.arange(1e-3, upper, 1e-3)
     lo = None
     for h in grid:
-        if excess(h) > 0.0:
+        gap = excess(h)
+        if gap > _TRACE_EPS:
             break
-        lo = h
+        if gap < 0.0:
+            lo = h
     else:
         return (0.0, upper)
     if lo is None:
         raise OutOfStabilityError("unstable at the smallest probed step")
-    return (0.0, brentq(excess, lo, h, xtol=1e-12))
+    return (0.0, brentq(excess, lo, h, xtol=1e-15))
 
 
 def vv_ratio_roots(k: int) -> list[float]:

@@ -25,9 +25,9 @@ sample row and begins its next iteration before the next tick, so chains
 with different L never wait for one another; a chain with all its
 iterations done drops out.  The model's row-wise calls give each row what it
 gives alone, so every chain is, byte for byte, the chain sampled on its own:
-``run_chain`` is ``run_chains`` on one chain, and the burn-in and
-``ghmc_iteration`` drive a one-chain batch through the same begin, step and
-finish pieces.  The scheme hands the kernel plain (kicks, drifts) coefficient
+``run_chain`` is ``run_chains`` on one chain, and the burn-in builds and
+steps the same engine on one chain, passing its adapted dt to each
+``begin``.  The scheme hands the kernel plain (kicks, drifts) coefficient
 tuples: a fixed ``SplittingScheme`` its own, ``AdaptiveScheme`` those looked
 up from the tabulated s-AIA3 map at each drawn step.
 """
@@ -49,13 +49,11 @@ __all__ = [
     "DiscreteSet",
     "AdaptiveScheme",
     "SamplerConfig",
-    "ChainState",
     "ChainRecords",
     "chain_rng",
     "check_rule",
     "partial_momentum_update",
     "metropolis_accept",
-    "ghmc_iteration",
     "run_chain",
     "run_chains",
 ]
@@ -196,19 +194,6 @@ def check_rule(quantity: str, rule) -> None:
 
 
 @dataclass
-class ChainState:
-    """Current position, momentum, and cached potential/gradient of one chain.
-
-    ``ghmc_iteration`` updates it in place.
-    """
-
-    theta: np.ndarray
-    p: np.ndarray
-    potential: float
-    grad: np.ndarray
-
-
-@dataclass
 class ChainRecords:
     """Per-iteration records of one chain, stored as flat arrays."""
 
@@ -323,14 +308,32 @@ class _LockStep:
     overflow by design and are rejected.
     """
 
-    def __init__(self, model, config: SamplerConfig, chains: list,
-                 theta: np.ndarray, p: np.ndarray, grad: np.ndarray):
+    def __init__(self, model, config: SamplerConfig, chains: list, starts):
+        """A batch at each chain's first state.
+
+        Per chain, theta (unless given in ``starts``), then p, are drawn
+        from its stream; U and its gradient at theta are evaluated for all
+        chains at once.
+        """
+        d = model.dimension
+        thetas, ps = [], []
+        for chain, theta in zip(chains, starts):
+            if theta is None:
+                theta = chain.rng.standard_normal(d)
+            else:
+                theta = np.array(theta, dtype=float)
+                if theta.shape != (d,):
+                    raise ValueError("initial theta has the wrong dimension")
+            thetas.append(theta)
+            ps.append(chain.rng.standard_normal(d))
         self.model = model
         self.config = config
         self.chains = chains
-        self.theta = np.array(theta, dtype=float)
-        self.p = np.array(p, dtype=float)
-        self.grad = np.array(grad, dtype=float)
+        self.theta = np.array(thetas)
+        self.p = np.array(ps)
+        for chain, u in zip(chains, model.potential(self.theta).tolist()):
+            chain.potential = u
+        self.grad = np.array(model.gradient(self.theta), dtype=float)
         self.theta0 = np.empty_like(self.theta)
         self.p0 = np.empty_like(self.p)
         self.grad0 = np.empty_like(self.grad)
@@ -464,13 +467,6 @@ class _LockStep:
                 chain.samples[i] = self.theta[r]
             chain.i = i + 1
 
-    def iterate(self, dt: float) -> None:
-        """One whole iteration of a one-chain batch at step dt."""
-        self.begin([0], dt)
-        while not self.tick():
-            pass
-        self.finish([0])
-
     def drop(self, rows: list) -> None:
         """Remove the rows of chains that have finished their last iteration."""
         keep = [r for r in range(len(self.chains)) if r not in rows]
@@ -479,49 +475,6 @@ class _LockStep:
                      "coef"):
             setattr(self, name, getattr(self, name)[keep])
         self._split_coef()
-
-
-def _start(model, config: SamplerConfig, chains: list, starts) -> _LockStep:
-    """A batch at each chain's first state.
-
-    Per chain, theta (unless given), then p, are drawn from its stream; U
-    and its gradient at theta are evaluated for all chains at once.
-    """
-    d = model.dimension
-    thetas, ps = [], []
-    for chain, theta in zip(chains, starts):
-        if theta is None:
-            theta = chain.rng.standard_normal(d)
-        else:
-            theta = np.array(theta, dtype=float)
-            if theta.shape != (d,):
-                raise ValueError("initial theta has the wrong dimension")
-        thetas.append(theta)
-        ps.append(chain.rng.standard_normal(d))
-    thetas = np.array(thetas)
-    for chain, u in zip(chains, model.potential(thetas).tolist()):
-        chain.potential = u
-    return _LockStep(model, config, chains, thetas, ps,
-                     model.gradient(thetas))
-
-
-def ghmc_iteration(state: ChainState, dt: float, config: SamplerConfig, model,
-                   rng: np.random.Generator, records: ChainRecords,
-                   i: int) -> None:
-    """One momentum-refresh / integrate / Metropolis-test cycle at step dt.
-
-    The one-chain form of the lock-step kernel: ``state`` is updated in
-    place and the iteration's record is written to row ``i`` of
-    ``records``.  The caller draws ``dt`` (the first draw of the iteration)
-    or passes an adapted step.
-    """
-    chain = _Chain(0, rng, records, i=i, potential=state.potential)
-    batch = _LockStep(model, config, [chain], state.theta[None],
-                      state.p[None], state.grad[None])
-    with np.errstate(over="ignore", invalid="ignore"):
-        batch.iterate(dt)
-    state.theta, state.p, state.grad = batch.theta[0], batch.p[0], batch.grad[0]
-    state.potential = chain.potential
 
 
 def run_chains(model, config: SamplerConfig, n_iterations: int, starts,
@@ -555,7 +508,7 @@ def run_chains(model, config: SamplerConfig, n_iterations: int, starts,
                      ChainRecords.empty(n_iterations),
                      np.empty((n_iterations, model.dimension)))
               for index in chain_indices]
-    batch = _start(model, config, chains, starts)
+    batch = _LockStep(model, config, chains, starts)
     with np.errstate(over="ignore", invalid="ignore"):
         batch.begin(range(len(chains)))
         while batch.chains:

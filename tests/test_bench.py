@@ -568,6 +568,26 @@ class TestCli:
         assert "configuration error" in err and "dimension 4" in err
         assert not out.exists()
 
+    def test_off_map_step_override_exits_config_error(self, tmp_path, capsys):
+        # cf * dt over dt in [5, 9] leaves the s-AIA3 map's h range [0.01, 6]
+        sample = ["sample", "--benchmark", "gauss-4", "--dt-interval", "5,9",
+                  "--n-burnin", "200", "--n-prod", "50", "--n-chains", "2",
+                  "--seed", "1"]
+        inline = tmp_path / "inline"
+        assert main(sample + ["--out-dir", str(inline)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "dt_interval" in err
+        # cf comes from the burn-in, so only the tuning output exists
+        assert sorted(p.name for p in inline.iterdir()) == [
+            "tuning_report.json", "tuning_timing.json"]
+        out = tmp_path / "never"
+        code = main(sample + ["--report", str(inline / "tuning_report.json"),
+                              "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "dt_interval" in err
+        assert not out.exists()
+
     def test_hmc_report_gives_ghmc_sample_no_phi_rule(self, tmp_path, capsys):
         tuned = tmp_path / "tuned"
         assert main(["tune", "--benchmark", "gauss-4", "--mode", "hmc",

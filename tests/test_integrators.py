@@ -284,7 +284,7 @@ class TestStability:
                                                ("vv3", 6.0)])
     def test_verlet_compositions(self, name, expected):
         assert stability_interval(build_scheme(name))[1] == pytest.approx(
-            expected, abs=1e-6)
+            expected, abs=1e-12)
 
     def test_bcss3_matches_rho3_domain_boundary(self):
         h_max = stability_interval(build_scheme("bcss3"))[1]

@@ -6,7 +6,9 @@ validated per iteration, integration one step at a time with theta and p
 copied every step, fresh state and record objects per iteration.  Both
 consume the chain's Philox stream in the same order and perform the same
 floating-point operations, so ``run_chain`` must reproduce its samples and
-all seven record arrays byte for byte.
+all seven record arrays byte for byte, and ``run_burnin``, which passes its
+adapted step to every iteration, the reference driven by the same
+adaptation.
 """
 
 import math
@@ -16,7 +18,12 @@ import numpy as np
 import pytest
 
 from ghmctune.integrators import SplittingScheme, build_scheme
-from ghmctune.models import gaussian_model, gen_wishart_precision
+from ghmctune.models import (
+    banana_model,
+    gaussian_model,
+    gen_wishart_precision,
+    make_banana_spec,
+)
 from ghmctune.samplers import (
     DIVERGENCE_THRESHOLD,
     AdaptiveScheme,
@@ -28,7 +35,7 @@ from ghmctune.samplers import (
     run_chain,
     run_chains,
 )
-from ghmctune.tuning import phi_interval
+from ghmctune.tuning import phi_interval, run_burnin
 
 RECORD_FIELDS = ("accepted", "delta_h", "n_steps", "dt", "phi",
                  "grad_evals", "divergent")
@@ -120,16 +127,20 @@ def _iteration(state, config, model, rng):
                               divergent)
 
 
-def _reference_chain(model, config, n_iterations, initial_theta=None,
-                     chain_index=0):
-    rng = chain_rng(config.seed, chain_index)
+def _first_state(model, rng, initial_theta=None):
     if initial_theta is None:
         theta = rng.standard_normal(model.dimension)
     else:
         theta = np.array(initial_theta, dtype=float)
     p = rng.standard_normal(model.dimension)
-    state = _State(theta, p, float(model.potential(theta)),
-                   np.asarray(model.gradient(theta), dtype=float))
+    return _State(theta, p, float(model.potential(theta)),
+                  np.asarray(model.gradient(theta), dtype=float))
+
+
+def _reference_chain(model, config, n_iterations, initial_theta=None,
+                     chain_index=0):
+    rng = chain_rng(config.seed, chain_index)
+    state = _first_state(model, rng, initial_theta)
     samples = np.empty((n_iterations, model.dimension))
     records = []
     for i in range(n_iterations):
@@ -146,6 +157,36 @@ def _reference_chain(model, config, n_iterations, initial_theta=None,
         "divergent": np.array([r.divergent for r in records], dtype=bool),
     }
     return samples, columns
+
+
+def _reference_burnin(model, n_iterations, mode, seed, target_ar=0.95):
+    """The burn-in's adaptation around the reference kernel: velocity Verlet
+    with L = 1 from dt = 1/sqrt(D), dt halved on a divergence, otherwise
+    moved by gain 1/sqrt(t) towards the target over a 40-iteration window."""
+    d = model.dimension
+    phi_rule = (UniformInterval(*phi_interval(d)) if mode == "ghmc"
+                else Fixed(1.0))
+    dt = 1.0 / math.sqrt(d)
+    rng = chain_rng(seed, 0)
+    state = _first_state(model, rng)
+    samples = np.empty((n_iterations, d))
+    window = []
+    for t in range(1, n_iterations + 1):
+        config = SamplerConfig(dt_rule=Fixed(dt), l_rule=Fixed(1),
+                               phi_rule=phi_rule, scheme=build_scheme("vv"),
+                               seed=seed)
+        state, rec = _iteration(state, config, model, rng)
+        samples[t - 1] = state.theta
+        if rec.divergent:
+            dt = max(dt * 0.5, 1e-12)
+            window.clear()
+            continue
+        window.append(1.0 if rec.accepted else 0.0)
+        if len(window) > 40:
+            window.pop(0)
+        gain = 1.0 / math.sqrt(t)
+        dt = dt * math.exp(gain * (float(np.mean(window)) - target_ar))
+    return samples, dt
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +265,20 @@ def test_run_chains_match_chains_run_alone_bytes(case, gauss8, saia_map):
     if case == "divergent-steps":
         flags = np.array([records.divergent for _, records in batch])
         assert (flags.any(axis=0) & ~flags.all(axis=0)).any()
+
+
+@pytest.fixture(scope="module")
+def banana():
+    return banana_model(make_banana_spec(seed=0), name="banana")
+
+
+@pytest.mark.parametrize("target", ["gauss8", "banana"])
+@pytest.mark.parametrize("mode", ["ghmc", "hmc"])
+def test_burnin_matches_reference_bytes(mode, target, request):
+    model = request.getfixturevalue(target)
+    stats, samples = run_burnin(model, 300, mode=mode, seed=11)
+    ref_samples, ref_dt = _reference_burnin(model, 300, mode, seed=11)
+    assert samples.tobytes() == ref_samples.tobytes()
+    assert np.float64(stats.dt_vv).tobytes() == np.float64(ref_dt).tobytes()
+    if target == "banana":  # its first steps diverge, so dt is halved
+        assert stats.n_divergent > 0

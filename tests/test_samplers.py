@@ -7,14 +7,11 @@ from scipy import stats as sps
 from ghmctune.integrators import OutOfStabilityError, build_scheme, rotation_angle
 from ghmctune.samplers import (
     AdaptiveScheme,
-    ChainRecords,
-    ChainState,
     DiscreteSet,
     Fixed,
     SamplerConfig,
     UniformInterval,
     chain_rng,
-    ghmc_iteration,
     metropolis_accept,
     partial_momentum_update,
     run_chain,
@@ -99,15 +96,9 @@ class TestIteration:
 
         model = TargetModel(2, lambda th: np.zeros(th.shape[:-1]),
                             lambda th: np.zeros_like(th), None, "flat")
-        config = _vv_config(dt=0.5, l=7)
-        rng = chain_rng(0, 0)
-        state = ChainState(np.zeros(2), np.ones(2), 0.0, np.zeros(2))
-        records = ChainRecords.empty(20)
-        for i in range(20):
-            ghmc_iteration(state, config.dt_rule.draw(rng), config, model, rng,
-                           records, i)
-            assert records.delta_h[i] == pytest.approx(0.0, abs=1e-12)
-            assert records.accepted[i]
+        _, records = run_chain(model, _vv_config(dt=0.5, l=7), 20)
+        assert np.all(np.abs(records.delta_h) <= 1e-12)
+        assert records.accepted.all()
 
     def test_exact_rotation_oracle(self, std_gauss_1d):
         # analytic harmonic flow conserves energy exactly; the kernel pieces
@@ -134,22 +125,13 @@ class TestIteration:
 
     def test_rejection_keeps_position_flips_momentum(self, std_gauss_1d):
         config = _vv_config(dt=1.99, l=1, phi=Fixed(0.01), seed=9)
-        rng = chain_rng(9, 0)
         theta = np.array([4.0])
-        state = ChainState(theta, np.array([2.0]),
-                           float(std_gauss_1d.potential(theta)),
-                           std_gauss_1d.gradient(theta))
-        records = ChainRecords.empty(100)
-        saw_rejection = False
-        for i in range(100):
-            before = state.theta.copy()
-            ghmc_iteration(state, config.dt_rule.draw(rng), config,
-                           std_gauss_1d, rng, records, i)
-            if not records.accepted[i]:
-                saw_rejection = True
-                assert np.array_equal(state.theta, before)
-                break
-        assert saw_rejection
+        samples, records = run_chain(std_gauss_1d, config, 100,
+                                     initial_theta=theta)
+        previous = np.concatenate([theta[None], samples[:-1]])
+        rejected = ~records.accepted
+        assert rejected.any()
+        assert np.array_equal(samples[rejected], previous[rejected])
 
 
 class TestSchemeSelectors:

@@ -17,6 +17,8 @@ from ghmctune.tuning import (
     BurninStats,
     TuningError,
     TuningReport,
+    _FD_STEP,
+    _gradient_difference_hessian,
     adapt_step_size,
     atune,
     collect_frequencies,
@@ -114,6 +116,30 @@ class TestCollectFrequencies:
         omegas, clamped = collect_frequencies(model, samples)
         assert omegas == pytest.approx([1.0, 2.0, 3.0], abs=1e-8)
         assert clamped == 0
+
+    @pytest.mark.parametrize("name", ["gauss-5", "gauss-100", "banana",
+                                      "blr-synthetic-25-1000"])
+    def test_batched_differences_match_loop_bytes(self, name):
+        # the oracle: 2 D one-row gradient calls, one shifted coordinate each
+        def loop(gradient, theta):
+            d = theta.size
+            h = np.empty((d, d))
+            for i in range(d):
+                step = _FD_STEP * max(1.0, abs(theta[i]))
+                tp, tm = theta.copy(), theta.copy()
+                tp[i] += step
+                tm[i] -= step
+                h[i] = (gradient(tp) - gradient(tm)) / (2.0 * step)
+            return 0.5 * (h + h.T)
+
+        model = resolve_benchmark(RunConfig(benchmark=name, seed=1))
+        rng = np.random.default_rng(3)
+        for k in range(5):
+            theta = 2.0 * rng.standard_normal(model.dimension)
+            if k == 0:
+                theta[-1] = -0.0
+            got = _gradient_difference_hessian(model.gradient, theta)
+            assert got.tobytes() == loop(model.gradient, theta).tobytes()
 
 
 class TestFittingFactor:
