@@ -63,7 +63,7 @@ from .models import (
     make_synthetic_blr,
     sample_gaussian,
 )
-from .saia import default_map
+from .saia import MAP_H_MIN, default_map
 from .samplers import (
     ChainRecords,
     DiscreteSet,
@@ -147,8 +147,10 @@ class RunConfig:
                               "least 100 iterations")
         if not 0.0 < self.ar_target < 1.0:
             raise ConfigError(f"ar_target={self.ar_target}: must lie in (0, 1)")
-        if not 0.0 < self.h_lower < H_COLSI3:
-            raise ConfigError(f"h_lower={self.h_lower}: must lie in (0, {H_COLSI3:g})")
+        # below the s-AIA3 map's first node the burn-in would leave the table
+        if not MAP_H_MIN <= self.h_lower < H_COLSI3:
+            raise ConfigError(f"h_lower={self.h_lower}: must lie in "
+                              f"[{MAP_H_MIN:g}, {H_COLSI3:g})")
         if self.mode not in ("hmc", "ghmc"):
             raise ConfigError("mode must be 'hmc' or 'ghmc'")
         if self.mode == "hmc" and (self.phi_fixed not in (None, 1.0)

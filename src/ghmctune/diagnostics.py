@@ -13,7 +13,8 @@ Implements the metric set used throughout the benchmark harness:
   efficiency factor for comparing two samplers.
 
 All functions are pure over sample arrays; chains enter as an array of shape
-(C, N, D).
+(C, N, D).  The autocovariance behind the univariate ESS is computed with
+``numpy.fft``, so diagnosing a run loads no scipy module.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sp_fft
 
 __all__ = [
     "DiagnosticsError",
@@ -78,16 +78,35 @@ def _per_series(values: np.ndarray, series: np.ndarray) -> float | np.ndarray:
     return values.reshape(np.shape(series)[:-1])
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth number 2^a 3^b 5^c that is at least n.
+
+    The length ``scipy.fft.next_fast_len(n, real=True)`` returns.
+    """
+    best = 1 << (n - 1).bit_length()             # smallest power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that brings it to n or above
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _autocovariance(x: np.ndarray) -> np.ndarray:
     """Biased autocovariance of each row of an (S, n) block via FFT, lags 0..n-1.
 
+    The transforms run at the 5-smooth length m >= 2n - 1, so the circular
+    correlation equals the linear one on lags 0..n-1.
     Raises DiagnosticsError when a row is constant (zero lag-0 variance).
     """
     n = x.shape[-1]
     xc = x - x.mean(axis=-1, keepdims=True)
-    m = sp_fft.next_fast_len(2 * n - 1, real=True)
-    f = sp_fft.rfft(xc, m, axis=-1)
-    acov = sp_fft.irfft(f * np.conj(f), m, axis=-1)[:, :n] / n
+    m = _next_fast_len(2 * n - 1)
+    f = np.fft.rfft(xc, m, axis=-1)
+    acov = np.fft.irfft(f * np.conj(f), m, axis=-1)[:, :n] / n
     if np.any(acov[:, 0] <= 0.0):
         raise DiagnosticsError("constant series has undefined ESS")
     return acov

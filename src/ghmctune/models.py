@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "DatasetError",
@@ -126,8 +125,11 @@ def sample_gaussian(spec: GaussianSpec, n: int,
     """Exact draws from N(0, precision^-1), shape (n, D).
 
     Solves L' x = z with the Cholesky factor L of the precision, avoiding an
-    explicit covariance inverse.
+    explicit covariance inverse.  ``scipy.linalg`` is imported here, its one
+    use, to keep scipy off the package's import path.
     """
+    from scipy.linalg import solve_triangular
+
     chol = np.linalg.cholesky(spec.precision)
     z = rng.standard_normal((spec.dimension, n))
     return solve_triangular(chol.T, z, lower=False).T

@@ -38,9 +38,14 @@ import numpy as np
 
 from .integrators import OutOfStabilityError, SplittingScheme, rho3_grid, three_stage_a
 
-__all__ = ["SAIA3Map", "build_saia3_map", "default_map"]
+__all__ = ["SAIA3Map", "build_saia3_map", "default_map",
+           "MAP_NODES", "MAP_H_MAX", "MAP_H_MIN"]
 
 _log = logging.getLogger(__name__)
+
+MAP_NODES = 600  # nodes of the default map
+MAP_H_MAX = 6.0  # upper end of the default map's step-size range
+MAP_H_MIN = MAP_H_MAX / MAP_NODES  # its first node, the smallest tabulated h
 
 _B_BOUNDS = (0.02, 0.2499)  # family needs b in (0, 1/4); optimum is interior
 _INNER_GRID = 400  # step-size resolution of the inner sup per node
@@ -223,7 +228,7 @@ class SAIA3Map:
                         int(meta.get("flagged", 0)))
 
 
-def build_saia3_map(resolution: int = 600, h_max: float = 6.0) -> SAIA3Map:
+def build_saia3_map(resolution: int = MAP_NODES, h_max: float = MAP_H_MAX) -> SAIA3Map:
     """Tabulate the minimax coefficients on ``resolution`` nodes over (0, h_max].
 
     Args:
@@ -259,7 +264,7 @@ def _default_cache_path() -> Path:
 
 @functools.lru_cache(maxsize=1)
 def default_map() -> SAIA3Map:
-    """The 600-node map over (0, 6), loaded from cache or rebuilt and saved."""
+    """The 600-node map over (0, 6], loaded from cache or rebuilt and saved."""
     path = _default_cache_path()
     if path.exists():
         try:

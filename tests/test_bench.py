@@ -27,6 +27,7 @@ from ghmctune.bench import (
 )
 from ghmctune.cli import _CONFIG_FIELDS, _LIST_FIELDS, _SWITCHES, _field, main
 from ghmctune.models import DatasetError
+from ghmctune.saia import MAP_H_MIN
 from ghmctune.samplers import ChainRecords
 
 
@@ -110,10 +111,14 @@ class TestRunConfig:
         ("l_choices", (0, 2)), ("phi_fixed", 1.5), ("phi_interval", (0.2, 1.5)),
         ("n_burnin", 50), ("ar_target", 1.5), ("ar_target", 0.0),
         ("h_lower", 5.0), ("h_lower", 0.0), ("l_fixed", 2.5),
-        ("l_range", (1, 2.5)), ("l_choices", (2.5, 5)), ("l_range", (1, 1e400))])
+        ("l_range", (1, 2.5)), ("l_choices", (2.5, 5)), ("l_range", (1, 1e400)),
+        ("h_lower", 0.005), ("h_lower", math.nan)])
     def test_out_of_range_override_rejected(self, tmp_path, field, value):
         with pytest.raises(ConfigError, match=field):
             _small_config(tmp_path, **{field: value})
+
+    def test_h_lower_at_the_map_start_accepted(self, tmp_path):
+        assert _small_config(tmp_path, h_lower=MAP_H_MIN).h_lower == 0.01
 
     def test_whole_trajectory_lengths_become_ints(self, tmp_path):
         assert _small_config(tmp_path, l_fixed=2.0).l_fixed == 2
@@ -843,6 +848,18 @@ class TestCli:
         (out / "diagnostics.json").unlink()
         assert main(["diagnose", str(out), "--window", "50"]) == 0
         assert (out / "diagnostics.json").read_text() == expected
+
+    def test_h_lower_below_the_map_exits_before_output(self, tmp_path, capsys):
+        # the s-AIA3 map starts at h = 0.01; below it the burn-in failed with exit 3
+        out = tmp_path / "H"
+        code = main(["sample", "--benchmark", "gauss-4", "--h-lower", "0.005",
+                     "--n-burnin", "200", "--n-prod", "2000", "--n-chains", "2",
+                     "--seed", "1", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "h_lower" in err
+        assert "[0.01, 3)" in err
+        assert not out.exists()
 
     def test_bad_sensitivity_delta_exits_before_output(self, tmp_path, capsys):
         out = tmp_path / "sens"

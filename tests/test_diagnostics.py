@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghmctune.diagnostics import (
+    _autocovariance,
+    _next_fast_len,
     ChainSet,
     DiagnosticsError,
     DiagnosticsReport,
@@ -72,6 +74,34 @@ class TestUnivariateEss:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             ess_univariate(np.random.default_rng(0).standard_normal(100), "magic")
+
+
+class TestAutocovariance:
+    # scipy.fft stays the oracle here; the package computes with numpy.fft
+    def test_next_fast_len_matches_scipy(self):
+        sp_fft = pytest.importorskip("scipy.fft")
+        large = [2**31 - 1, 2**31 + 1, 3**20 + 1, 10**12 + 7]
+        for n in [*range(1, 20_001), *large]:
+            assert _next_fast_len(n) == sp_fft.next_fast_len(n, real=True), n
+
+    @pytest.mark.parametrize("s", [1, 16])
+    @pytest.mark.parametrize("n", [50, 1060, 1451, 4500, 6000])
+    def test_matches_scipy_formula(self, s, n):
+        sp_fft = pytest.importorskip("scipy.fft")
+        x = np.random.default_rng(n + s).standard_normal((s, n)).cumsum(axis=1)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        m = sp_fft.next_fast_len(2 * n - 1, real=True)
+        f = sp_fft.rfft(xc, m, axis=-1)
+        expected = sp_fft.irfft(f * np.conj(f), m, axis=-1)[:, :n] / n
+        got = _autocovariance(x)
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            # numpy.fft wraps the same pocketfft C++ code as scipy.fft
+            assert got.tobytes() == expected.tobytes()
+        else:
+            # numpy < 2.0 ships the older C pocketfft, equal only to rounding;
+            # lags near a zero crossing get an absolute floor at lag-0 scale
+            np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                       atol=1e-12 * expected[:, 0].max())
 
 
 class TestMultiEss:

@@ -1,6 +1,8 @@
 """Every name a ghmctune module exports in ``__all__`` exists, and importing
-the package leaves ``scipy.optimize`` unloaded."""
+the package loads none of ``scipy.fft``, ``scipy.linalg`` and
+``scipy.optimize``."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -24,18 +26,39 @@ def test_all_names_resolve(name):
     assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
 
 
-def _loads_scipy_optimize(imports: str) -> bool:
+SCIPY_SUBMODULES = ("scipy.fft", "scipy.linalg", "scipy.optimize")
+
+
+def _scipy_submodules_loaded(code: str) -> list[str]:
+    """The SCIPY_SUBMODULES in ``sys.modules`` after ``code`` runs in a fresh
+    interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = f"import sys; import {imports}; print('scipy.optimize' in sys.modules)"
+    code += f"\nimport sys; print(sorted(set({SCIPY_SUBMODULES!r}) & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout.strip() == "True"
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
 
 
 def test_import_leaves_out_scipy_optimize():
-    # only find_h_lower and stability_interval import it, when called
-    if _loads_scipy_optimize("scipy.linalg, scipy.fft"):
-        pytest.skip("this scipy loads scipy.optimize with scipy.linalg or scipy.fft")
-    assert not _loads_scipy_optimize("ghmctune, ghmctune.bench, ghmctune.cli")
+    # scipy.optimize is imported only inside find_h_lower and
+    # stability_interval, scipy.linalg inside sample_gaussian; the ESS
+    # autocovariance uses numpy.fft
+    assert _scipy_submodules_loaded("import ghmctune, ghmctune.bench, ghmctune.cli") == []
+
+
+def test_diagnose_leaves_out_scipy_fft():
+    code = """
+import numpy as np
+from ghmctune.diagnostics import ChainSet, diagnose
+from ghmctune.samplers import ChainRecords
+records = [ChainRecords.empty(3000) for _ in range(4)]
+for rec in records:
+    rec.accepted[:] = True
+    rec.n_steps[:] = 1
+    rec.grad_evals[:] = 1
+samples = np.random.default_rng(11).standard_normal((4, 3000, 2))
+assert diagnose(ChainSet(samples, records), window=1000).ess_mean > 0
+"""
+    assert "scipy.fft" not in _scipy_submodules_loaded(code)
