@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as sp_fft
 
 from ghmctune.diagnostics import (
     _autocovariance,
@@ -79,7 +80,6 @@ class TestUnivariateEss:
 class TestAutocovariance:
     # scipy.fft stays the oracle here; the package computes with numpy.fft
     def test_next_fast_len_matches_scipy(self):
-        sp_fft = pytest.importorskip("scipy.fft")
         large = [2**31 - 1, 2**31 + 1, 3**20 + 1, 10**12 + 7]
         for n in [*range(1, 20_001), *large]:
             assert _next_fast_len(n) == sp_fft.next_fast_len(n, real=True), n
@@ -87,7 +87,6 @@ class TestAutocovariance:
     @pytest.mark.parametrize("s", [1, 16])
     @pytest.mark.parametrize("n", [50, 1060, 1451, 4500, 6000])
     def test_matches_scipy_formula(self, s, n):
-        sp_fft = pytest.importorskip("scipy.fft")
         x = np.random.default_rng(n + s).standard_normal((s, n)).cumsum(axis=1)
         xc = x - x.mean(axis=-1, keepdims=True)
         m = sp_fft.next_fast_len(2 * n - 1, real=True)
